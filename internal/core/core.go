@@ -589,7 +589,7 @@ const maxBackoff = 512
 // count, are deterministic — retries depend only on the deterministic
 // irrevocability schedule.
 func (e *Engine) waitCommitTurn(t *dvm.Thread) {
-	defer phaseBegin("grant")()
+	defer phaseBegin(phaseGrant)()
 	var d0, retries int64
 	if e.tel != nil {
 		d0 = e.arb.DLC(t.ID)
@@ -628,7 +628,7 @@ func (e *Engine) publish(t *dvm.Thread, ts *tstate) bool {
 	if !ts.mem.Dirty() {
 		return false
 	}
-	defer phaseBegin("commit")()
+	defer phaseBegin(phaseCommit)()
 	if e.audit != nil {
 		e.audit.AtPublish(t.ID, ts.mem)
 	}

@@ -179,7 +179,7 @@ func (e *Engine) resolveVirtual(ts *tstate, at int) {
 // sequence and clock, that the eager path would have recorded. Caller holds
 // the turn.
 func (e *Engine) elidePublish(t *dvm.Thread, ts *tstate, l int64) {
-	defer phaseBegin("commit")()
+	defer phaseBegin(phaseCommit)()
 	if e.audit != nil && ts.mem.Dirty() {
 		e.audit.AtPublish(t.ID, ts.mem)
 	}

@@ -9,9 +9,10 @@
 // so a -cpuprofile from lazydet-run/-bench/-sim can attribute sync-machinery
 // time to the phase the elision work targets (`go tool pprof -tagfocus
 // engine_phase=commit`). Labeling costs two goroutine-label stores per
-// labeled region, so it is off unless a front end that is actually writing
-// a profile calls EnableProfileLabels; disabled, each site is one atomic
-// load and a no-op call.
+// labeled region (the labeled contexts are built once, so nothing
+// allocates), and it is off unless a front end that is actually writing a
+// profile calls EnableProfileLabels; disabled, each site is one atomic load
+// and a no-op call.
 package core
 
 import (
@@ -27,15 +28,32 @@ var profilePhases atomic.Bool
 // labels off again (profiles are one-shot per process).
 func EnableProfileLabels() { profilePhases.Store(true) }
 
+// phase names an engine phase for profile labels.
+type phase int
+
+const (
+	phaseGrant phase = iota
+	phaseCommit
+	phaseValidate
+)
+
+// phaseCtx holds each phase's labeled context, built once so that entering
+// a labeled region allocates nothing.
+var phaseCtx = [...]context.Context{
+	phaseGrant:    pprof.WithLabels(context.Background(), pprof.Labels("engine_phase", "grant")),
+	phaseCommit:   pprof.WithLabels(context.Background(), pprof.Labels("engine_phase", "commit")),
+	phaseValidate: pprof.WithLabels(context.Background(), pprof.Labels("engine_phase", "validate")),
+}
+
 var noPhase = func() {}
 
-// phaseBegin tags the calling goroutine's CPU samples with the named engine
-// phase until the returned func runs. Typical use: defer phaseBegin("x")().
-func phaseBegin(name string) func() {
+// phaseBegin tags the calling goroutine's CPU samples with engine phase p
+// until the returned func runs. Typical use: defer phaseBegin(phaseGrant)().
+func phaseBegin(p phase) func() {
 	if !profilePhases.Load() {
 		return noPhase
 	}
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("engine_phase", name)))
+	pprof.SetGoroutineLabels(phaseCtx[p])
 	return clearPhase
 }
 

@@ -218,7 +218,7 @@ func (e *Engine) terminateRun(t *dvm.Thread, ts *tstate) bool {
 		e.spec.Runs.Add(1)
 	}
 	e.waitCommitTurn(t)
-	endValidate := phaseBegin("validate")
+	endValidate := phaseBegin(phaseValidate)
 	valid := ts.irrevocable || e.validate(ts)
 	endValidate()
 	if valid {

@@ -37,11 +37,9 @@
 // until the root is either fresh (waiter sleeps; a later tick crossing the
 // min-waiter clock wakes it) or the waiter itself (grant).
 //
-// The previous flat implementation — O(n) scans over the live atomics for
-// every grant, notify and deadlock check — is preserved behind
-// WithFlatArbiter as a differential oracle: both arbiters grant identical
-// bit-deterministic schedules, and the test suite and fuzzer cross-check
-// them against each other.
+// AuditTurn evaluates the turn predicate directly — the (DLC, tid) minimum
+// over the true clocks of eligible threads, an O(n) scan — and the
+// invariant checker calls it at every grant.
 //
 // The arbiter also supports a nondeterministic mode, used to implement the
 // TotalOrder-Weak-Nondet engine from the paper's evaluation: the turn becomes
@@ -135,18 +133,6 @@ func eligible(st Status) bool {
 	return st != StatusParked && st != StatusExited
 }
 
-// Option configures an Arbiter at construction.
-type Option func(*Arbiter)
-
-// WithFlatArbiter selects the original flat implementation: O(n) scans over
-// the live clock atomics for every grant check, waiter notification and
-// deadlock check. It grants the same bit-deterministic schedule as the
-// tournament arbiter and exists as its differential oracle, mirroring the
-// -mapviews/-legacydiff pattern elsewhere in the repository.
-func WithFlatArbiter() Option {
-	return func(a *Arbiter) { a.flat = true }
-}
-
 // Arbiter arbitrates the deterministic turn between a fixed set of threads.
 //
 // Wakeups are targeted: only the minimum waiter can ever be granted the
@@ -159,10 +145,6 @@ type Arbiter struct {
 	slots     []slot
 	wake      []chan struct{} // per-thread wakeup tokens, buffered 1
 	minWaiter atomic.Int64    // min DLC among StatusWaiting threads, noWaiter if none
-
-	// flat selects the O(n)-scan oracle implementation; the tournament
-	// state below is then left nil.
-	flat bool
 
 	// Tournament state, all guarded by mu. size is the leaf span (next
 	// power of two >= len(slots)); both trees are laid out as implicit
@@ -182,17 +164,16 @@ type Arbiter struct {
 	parked int
 
 	// Cumulative cost counters, guarded by mu. wakes counts wakeup tokens
-	// delivered; grantWork counts per-thread key inspections (scan length
-	// in flat mode, match replays and lazy refreshes in tree mode).
+	// delivered; grantWork counts per-thread key inspections (match
+	// replays, root inspections and lazy refreshes).
 	wakes     int64
 	grantWork int64
 
 	// Grant chaining, guarded by mu. lastGrant is the thread most recently
 	// granted the turn (-1 before the first grant); chainHits counts grants
 	// to the thread that also received the previous grant — a pure function
-	// of the deterministic grant sequence, identical across arbiter
-	// implementations; chainFast counts the subset of those the tournament
-	// arbiter served through the cached-election fast path, which depends on
+	// of the deterministic grant sequence; chainFast counts the subset of
+	// those served through the cached-election fast path, which depends on
 	// how stale runners' published clocks happened to be (wall-clock).
 	lastGrant int
 	chainHits int64
@@ -211,36 +192,31 @@ type Arbiter struct {
 
 // New returns an arbiter for n threads, all starting at DLC 0 in
 // StatusRunning. Thread IDs are 0..n-1.
-func New(n int, opts ...Option) *Arbiter {
+func New(n int) *Arbiter {
 	a := &Arbiter{slots: make([]slot, n), wake: make([]chan struct{}, n), lastGrant: -1}
 	for i := range a.wake {
 		a.wake[i] = make(chan struct{}, 1)
 	}
 	a.minWaiter.Store(noWaiter)
-	for _, o := range opts {
-		o(a)
-	}
 	a.live = n
-	if !a.flat {
-		size := 1
-		for size < n {
-			size <<= 1
-		}
-		a.size = size
-		a.depth = bits.Len(uint(size)) - 1
-		a.pub = make([]int64, n)
-		a.minTree = make([]int32, 2*size)
-		a.waitTree = make([]int32, 2*size)
-		for i := range a.minTree {
-			a.minTree[i] = -1
-			a.waitTree[i] = -1
-		}
-		for i := 0; i < n; i++ {
-			a.minTree[size+i] = int32(i)
-		}
-		for i := size - 1; i >= 1; i-- {
-			a.minTree[i] = a.match(a.minTree[2*i], a.minTree[2*i+1])
-		}
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	a.size = size
+	a.depth = bits.Len(uint(size)) - 1
+	a.pub = make([]int64, n)
+	a.minTree = make([]int32, 2*size)
+	a.waitTree = make([]int32, 2*size)
+	for i := range a.minTree {
+		a.minTree[i] = -1
+		a.waitTree[i] = -1
+	}
+	for i := 0; i < n; i++ {
+		a.minTree[size+i] = int32(i)
+	}
+	for i := size - 1; i >= 1; i-- {
+		a.minTree[i] = a.match(a.minTree[2*i], a.minTree[2*i+1])
 	}
 	return a
 }
@@ -256,9 +232,6 @@ func NewNondet(n int) *Arbiter {
 
 // Nondet reports whether the arbiter orders turns nondeterministically.
 func (a *Arbiter) Nondet() bool { return a.nondet }
-
-// Flat reports whether the arbiter uses the flat O(n)-scan implementation.
-func (a *Arbiter) Flat() bool { return a.flat }
 
 // SetDeadlockHandler installs a callback invoked (once, on the parking or
 // exiting thread) when every non-exited thread has parked — a state nothing
@@ -340,9 +313,9 @@ func (a *Arbiter) replayLocked(tree []int32, tid int, active bool) {
 }
 
 // publishLocked snapshots thread tid's live clock into pub and replays its
-// arbitration leaf if the snapshot changed. Caller holds a.mu; tree mode
-// only. The wait tree never needs a replay here: a Waiting thread's clock is
-// frozen, so publication only ever changes runners' keys.
+// arbitration leaf if the snapshot changed. Caller holds a.mu. The wait
+// tree never needs a replay here: a Waiting thread's clock is frozen, so
+// publication only ever changes runners' keys.
 func (a *Arbiter) publishLocked(tid int) {
 	if cur := a.slots[tid].dlc.Load(); cur != a.pub[tid] {
 		a.pub[tid] = cur
@@ -378,9 +351,7 @@ func (a *Arbiter) Tick(tid int, cost int64) {
 		// is unblocked at clock equality (tie-break), one with a higher
 		// ID once we strictly exceed it. Wake it to re-check.
 		a.mu.Lock()
-		if !a.flat {
-			a.publishLocked(tid)
-		}
+		a.publishLocked(tid)
 		a.notifyMinWaiterLocked()
 		a.mu.Unlock()
 	}
@@ -392,7 +363,7 @@ func (a *Arbiter) Tick(tid int, cost int64) {
 // thread itself before it starts running.
 func (a *Arbiter) SetDLC(tid int, v int64) {
 	a.slots[tid].dlc.Store(v)
-	if a.nondet || a.flat {
+	if a.nondet {
 		return
 	}
 	a.mu.Lock()
@@ -404,7 +375,7 @@ func (a *Arbiter) SetDLC(tid int, v int64) {
 // pair is the global minimum among threads that are not parked or exited.
 // Caller holds a.mu; tid must be Waiting (its published clock exact).
 //
-// Tree mode resolves this at the root, refreshing lazily: if the root is
+// It is resolved at the tree root, refreshing lazily: if the root is
 // another thread, that thread either genuinely precedes tid (its published
 // key is fresh — since published clocks never lead true clocks and clocks
 // only advance, a fresh smaller key proves the true key is smaller too, so
@@ -414,24 +385,6 @@ func (a *Arbiter) SetDLC(tid int, v int64) {
 // exactly the publication debt runners skipped by ticking lock-free, paid by
 // the thread that is blocked anyway.
 func (a *Arbiter) isMinLocked(tid int) bool {
-	if a.flat {
-		a.grantWork += int64(len(a.slots) - 1)
-		my := a.slots[tid].dlc.Load()
-		for i := range a.slots {
-			if i == tid {
-				continue
-			}
-			st := Status(a.slots[i].status.Load())
-			if st == StatusParked || st == StatusExited {
-				continue
-			}
-			d := a.slots[i].dlc.Load()
-			if d < my || (d == my && i < tid) {
-				return false
-			}
-		}
-		return true
-	}
 	for {
 		a.grantWork++
 		w := int(a.minTree[1])
@@ -455,19 +408,6 @@ func (a *Arbiter) isMinLocked(tid int) bool {
 // refreshMinWaiterLocked recomputes the cached minimum-waiter clock that
 // Tick's crossing test reads. Caller holds a.mu.
 func (a *Arbiter) refreshMinWaiterLocked() {
-	if a.flat {
-		a.grantWork += int64(len(a.slots))
-		min := int64(noWaiter)
-		for i := range a.slots {
-			if Status(a.slots[i].status.Load()) == StatusWaiting {
-				if d := a.slots[i].dlc.Load(); d < min {
-					min = d
-				}
-			}
-		}
-		a.minWaiter.Store(min)
-		return
-	}
 	a.grantWork++
 	if w := a.waitTree[1]; w >= 0 {
 		a.minWaiter.Store(a.pub[w])
@@ -478,31 +418,12 @@ func (a *Arbiter) refreshMinWaiterLocked() {
 
 // notifyMinWaiterLocked drops a wakeup token for the waiter with the
 // minimum (DLC, tid) — the only waiter whose turn predicate can have become
-// true. Caller holds a.mu.
-//
-// The flat scan keeps the first thread at the minimum clock, which under
-// in-order iteration is the lowest tid among equal-DLC waiters — the same
-// waiter the wait tree's (DLC, tid) tie-break elects, and the only one of
-// them the turn predicate can accept.
+// true: the wait tree's (DLC, tid) tie-break elects the lowest tid among
+// equal-DLC waiters, the only one of them the turn predicate can accept.
+// Caller holds a.mu.
 func (a *Arbiter) notifyMinWaiterLocked() {
-	best := -1
-	if a.flat {
-		a.grantWork += int64(len(a.slots))
-		var bestDLC int64
-		for i := range a.slots {
-			if Status(a.slots[i].status.Load()) != StatusWaiting {
-				continue
-			}
-			d := a.slots[i].dlc.Load()
-			if best == -1 || d < bestDLC {
-				best, bestDLC = i, d
-			}
-		}
-	} else {
-		a.grantWork++
-		best = int(a.waitTree[1])
-	}
-	if best >= 0 {
+	a.grantWork++
+	if best := a.waitTree[1]; best >= 0 {
 		//lazydet:nondeterministic non-blocking token send; a pending token and a fresh one are indistinguishable to the receiver
 		select {
 		case a.wake[best] <- struct{}{}:
@@ -529,7 +450,7 @@ func (a *Arbiter) WaitTurn(tid int) {
 	// wait-tree replays, no min-waiter refreshes. The grant sequence is
 	// unchanged — the slow path would grant the same turn on its first
 	// root inspection.
-	if !a.flat && tid == a.lastGrant {
+	if tid == a.lastGrant {
 		a.publishLocked(tid)
 		a.grantWork++
 		if int(a.minTree[1]) == tid {
@@ -541,13 +462,11 @@ func (a *Arbiter) WaitTurn(tid int) {
 		}
 	}
 	a.setStatusLocked(tid, StatusWaiting)
-	if !a.flat {
-		// Publish the exact clock before registering as a waiter: grants
-		// compare waiters by published key, which must be exact for the
-		// schedule to match the flat oracle bit for bit.
-		a.publishLocked(tid)
-		a.replayLocked(a.waitTree, tid, true)
-	}
+	// Publish the exact clock before registering as a waiter: grants compare
+	// waiters by published key, which must be exact for the schedule to be
+	// the (DLC, tid) order over true clocks that AuditTurn checks.
+	a.publishLocked(tid)
+	a.replayLocked(a.waitTree, tid, true)
 	a.refreshMinWaiterLocked()
 	for !a.isMinLocked(tid) {
 		a.mu.Unlock()
@@ -563,9 +482,7 @@ func (a *Arbiter) WaitTurn(tid int) {
 		a.chainHits++
 	}
 	a.lastGrant = tid
-	if !a.flat {
-		a.replayLocked(a.waitTree, tid, false)
-	}
+	a.replayLocked(a.waitTree, tid, false)
 	a.refreshMinWaiterLocked()
 	// Drain a stale token so a future wait does not wake spuriously.
 	//lazydet:nondeterministic non-blocking drain; waking with or without a stale token pending is behaviorally identical
@@ -587,9 +504,7 @@ func (a *Arbiter) ReleaseTurn(tid int, cost int64) {
 	a.mu.Lock()
 	s.dlc.Add(cost)
 	a.setStatusLocked(tid, StatusRunning)
-	if !a.flat {
-		a.publishLocked(tid)
-	}
+	a.publishLocked(tid)
 	a.notifyMinWaiterLocked()
 	a.mu.Unlock()
 }
@@ -611,9 +526,7 @@ func (a *Arbiter) Park(tid int) {
 	}
 	a.mu.Lock()
 	a.setStatusLocked(tid, StatusParked)
-	if !a.flat {
-		a.replayLocked(a.minTree, tid, false)
-	}
+	a.replayLocked(a.minTree, tid, false)
 	a.notifyMinWaiterLocked()
 	a.checkDeadlockLocked()
 	a.mu.Unlock()
@@ -626,7 +539,7 @@ func (a *Arbiter) Unpark(tid int, newDLC int64) {
 	a.mu.Lock()
 	a.slots[tid].dlc.Store(newDLC)
 	a.setStatusLocked(tid, StatusRunning)
-	if !a.flat && !a.nondet {
+	if !a.nondet {
 		a.pub[tid] = newDLC
 		a.replayLocked(a.minTree, tid, true)
 	}
@@ -641,7 +554,7 @@ func (a *Arbiter) Unpark(tid int, newDLC int64) {
 func (a *Arbiter) Exit(tid int) {
 	a.mu.Lock()
 	a.setStatusLocked(tid, StatusExited)
-	if !a.flat && !a.nondet {
+	if !a.nondet {
 		a.replayLocked(a.minTree, tid, false)
 		a.replayLocked(a.waitTree, tid, false)
 	}
@@ -653,13 +566,13 @@ func (a *Arbiter) Exit(tid int) {
 // SetParked marks a thread parked before it has ever run: the state of a
 // suspended (not yet spawned) thread, which must not participate in turn
 // arbitration until Unpark. Like Park and Exit it must check for deadlock:
-// a suspended thread parks itself from its own goroutine, so the program's
-// last live thread can exit before its peers reach this point, making the
-// SetParked here the transition into the all-parked state.
+// if the caller marks a thread parked after the program's last live thread
+// has exited, the SetParked here is the transition into the all-parked
+// state.
 func (a *Arbiter) SetParked(tid int) {
 	a.mu.Lock()
 	a.setStatusLocked(tid, StatusParked)
-	if !a.flat && !a.nondet {
+	if !a.nondet {
 		a.replayLocked(a.minTree, tid, false)
 	}
 	a.notifyMinWaiterLocked()
@@ -681,19 +594,18 @@ type Stats struct {
 	// that found the buffer empty).
 	Wakes int64
 	// GrantWork counts per-thread key inspections performed by the
-	// arbiter: full scan lengths in flat mode, tournament match replays
-	// and lazy snapshot refreshes in tree mode. The tentpole scaling
-	// claim is this quantity growing sub-linearly in thread count.
+	// arbiter: tournament match replays, root inspections and lazy
+	// snapshot refreshes. It grows logarithmically in thread count.
 	GrantWork int64
-	// Depth is the tournament tree's match depth (0 for the flat oracle
-	// and nondeterministic mode).
+	// Depth is the tournament tree's match depth (0 in nondeterministic
+	// mode).
 	Depth int
 	// ChainHits counts turn grants to the thread that also received the
 	// previous grant. It is a pure function of the deterministic grant
-	// sequence — identical across arbiter implementations — so, unlike
-	// Wakes and GrantWork, it belongs with the gated metrics.
+	// sequence, so, unlike Wakes and GrantWork, it belongs with the gated
+	// metrics.
 	ChainHits int64
-	// ChainFast counts the ChainHits the tournament arbiter served through
+	// ChainFast counts the ChainHits the arbiter served through
 	// the cached-election fast path (no waiter registration, no wait-tree
 	// replays). It depends on how stale runners' published snapshots were
 	// at the moment of re-arrival, so it is reporting-only.
@@ -705,7 +617,7 @@ func (a *Arbiter) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	d := 0
-	if !a.flat && !a.nondet {
+	if !a.nondet {
 		d = a.depth
 	}
 	return Stats{Wakes: a.wakes, GrantWork: a.grantWork, Depth: d,
@@ -767,15 +679,15 @@ func (a *Arbiter) AuditTurn(tid int) error {
 // Waiting/Turn threads), leaf occupancy matches thread statuses, every
 // internal node holds the match of its children, and both roots agree with
 // direct scans over the published keys — the tree-vs-scan minimum agreement
-// the invariant checker audits at every granted turn. Returns nil in flat
-// and nondeterministic modes, where there is no tree.
+// the invariant checker audits at every granted turn. Returns nil in
+// nondeterministic mode, where the tree is unused.
 //
 // Like AuditTurn it must be called by a thread holding the turn, so that
 // park/exit transitions and waiter registrations are quiescent; concurrent
 // runners only advance their clocks, which cannot invalidate the trailing
 // checks below.
 func (a *Arbiter) AuditTree() error {
-	if a.nondet || a.flat {
+	if a.nondet {
 		return nil
 	}
 	a.mu.Lock()

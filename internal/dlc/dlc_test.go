@@ -7,24 +7,55 @@ import (
 	"time"
 )
 
-// arbVariants lists the two arbiter implementations every turn-discipline
-// test must hold for: the tournament tree (default) and the flat O(n)-scan
-// oracle it is differentially checked against.
-var arbVariants = []struct {
-	name string
-	opts []Option
-}{
-	{"tree", nil},
-	{"flat", []Option{WithFlatArbiter()}},
+// turnChecks lists the two ways every turn-discipline test runs against
+// the arbiter. "tree" takes turns with plain WaitTurn calls. "flat"
+// re-checks every grant against the flat (DLC, tid) scan over true clocks
+// (AuditTurn, the predicate the retired O(n) arbiter computed) and the
+// tournament trees against a scan of their published keys (AuditTree), and
+// audits the trees once more when the test ends.
+var turnChecks = []turnCheck{{"tree", false}, {"flat", true}}
+
+type turnCheck struct {
+	name  string
+	audit bool
+}
+
+// arbiter returns an n-thread arbiter; audited arbiters are re-audited when the
+// test ends, once every thread is quiescent.
+func (c turnCheck) arbiter(t *testing.T, n int) *Arbiter {
+	a := New(n)
+	if c.audit {
+		t.Cleanup(func() {
+			if err := a.AuditTree(); err != nil {
+				t.Errorf("final state: %v", err)
+			}
+		})
+	}
+	return a
+}
+
+// wait takes thread tid's turn, auditing the grant under the flat check.
+// Safe to call from any goroutine: failures are reported with t.Errorf.
+func (c turnCheck) wait(t *testing.T, a *Arbiter, tid int) {
+	a.WaitTurn(tid)
+	if !c.audit {
+		return
+	}
+	if err := a.AuditTurn(tid); err != nil {
+		t.Errorf("grant to thread %d: %v", tid, err)
+	}
+	if err := a.AuditTree(); err != nil {
+		t.Errorf("grant to thread %d: %v", tid, err)
+	}
 }
 
 // TestTurnOrderFollowsClock checks that turns are granted in (DLC, tid)
 // order: three threads request turns with distinct clocks and must be
 // admitted lowest-clock first.
 func TestTurnOrderFollowsClock(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
-			a := New(3, v.opts...)
+			a := v.arbiter(t, 3)
 			a.SetDLC(0, 30)
 			a.SetDLC(1, 10)
 			a.SetDLC(2, 20)
@@ -36,7 +67,7 @@ func TestTurnOrderFollowsClock(t *testing.T) {
 				wg.Add(1)
 				go func(tid int) {
 					defer wg.Done()
-					a.WaitTurn(tid)
+					v.wait(t, a, tid)
 					mu.Lock()
 					order = append(order, tid)
 					mu.Unlock()
@@ -57,13 +88,13 @@ func TestTurnOrderFollowsClock(t *testing.T) {
 // TestTieBreakByThreadID checks that equal clocks admit the lower thread ID
 // first.
 func TestTieBreakByThreadID(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
-			a := New(2, v.opts...)
+			a := v.arbiter(t, 2)
 			// Both at DLC 0. Thread 1 requests first, but thread 0 must win.
 			got0 := make(chan struct{})
 			go func() {
-				a.WaitTurn(1)
+				v.wait(t, a, 1)
 				close(got0)
 			}()
 			time.Sleep(10 * time.Millisecond)
@@ -72,7 +103,7 @@ func TestTieBreakByThreadID(t *testing.T) {
 				t.Fatal("thread 1 got the turn while thread 0 (same DLC, lower tid) was runnable")
 			default:
 			}
-			a.WaitTurn(0)
+			v.wait(t, a, 0)
 			a.ReleaseTurn(0, 5)
 			<-got0 // now thread 1 proceeds
 			a.ReleaseTurn(1, 5)
@@ -83,15 +114,15 @@ func TestTieBreakByThreadID(t *testing.T) {
 // TestRunningThreadBlocksWaiter checks that a running thread with a lower
 // clock blocks a waiter until its clock passes the waiter's.
 func TestRunningThreadBlocksWaiter(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
-			a := New(2, v.opts...)
+			a := v.arbiter(t, 2)
 			a.SetDLC(0, 0)  // running
 			a.SetDLC(1, 50) // will wait
 
 			granted := make(chan struct{})
 			go func() {
-				a.WaitTurn(1)
+				v.wait(t, a, 1)
 				close(granted)
 			}()
 			time.Sleep(10 * time.Millisecond)
@@ -116,16 +147,16 @@ func TestRunningThreadBlocksWaiter(t *testing.T) {
 
 // TestParkedThreadExcluded checks that parked threads do not block waiters.
 func TestParkedThreadExcluded(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
-			a := New(2, v.opts...)
+			a := v.arbiter(t, 2)
 			a.SetDLC(0, 0)
 			a.SetDLC(1, 100)
-			a.WaitTurn(0)
+			v.wait(t, a, 0)
 			a.Park(0) // thread 0 parks at its turn with the lower clock
 			done := make(chan struct{})
 			go func() {
-				a.WaitTurn(1)
+				v.wait(t, a, 1)
 				close(done)
 			}()
 			select {
@@ -147,15 +178,15 @@ func TestParkedThreadExcluded(t *testing.T) {
 
 // TestExitedThreadExcluded checks that exited threads do not block waiters.
 func TestExitedThreadExcluded(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
-			a := New(2, v.opts...)
+			a := v.arbiter(t, 2)
 			a.SetDLC(0, 0)
 			a.SetDLC(1, 100)
 			a.Exit(0)
 			done := make(chan struct{})
 			go func() {
-				a.WaitTurn(1)
+				v.wait(t, a, 1)
 				close(done)
 			}()
 			select {
@@ -170,11 +201,11 @@ func TestExitedThreadExcluded(t *testing.T) {
 // TestTurnMutualExclusion hammers the arbiter with concurrent turn takers
 // and checks that at most one thread holds the turn at a time.
 func TestTurnMutualExclusion(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
 			const n = 8
 			const rounds = 200
-			a := New(n, v.opts...)
+			a := v.arbiter(t, n)
 			var inTurn atomic.Int32
 			var wg sync.WaitGroup
 			for tid := 0; tid < n; tid++ {
@@ -182,7 +213,7 @@ func TestTurnMutualExclusion(t *testing.T) {
 				go func(tid int) {
 					defer wg.Done()
 					for r := 0; r < rounds; r++ {
-						a.WaitTurn(tid)
+						v.wait(t, a, tid)
 						if inTurn.Add(1) != 1 {
 							t.Errorf("two threads hold the turn simultaneously")
 						}
@@ -199,57 +230,19 @@ func TestTurnMutualExclusion(t *testing.T) {
 }
 
 // TestDeterministicGrantSequence runs the same concurrent turn-taking
-// schedule twice per implementation and checks the grant order is identical
-// across runs AND across implementations: grants follow (DLC, tid), and DLC
-// evolution is fixed by the protocol.
+// schedule twice and checks the grant order is identical across runs and
+// equal to the host model's: grants follow (DLC, tid), and DLC evolution is
+// fixed by the protocol.
 func TestDeterministicGrantSequence(t *testing.T) {
-	runOnce := func(opts ...Option) []int {
-		const n = 4
-		const rounds = 50
-		a := New(n, opts...)
-		var mu sync.Mutex
-		var order []int
-		var wg sync.WaitGroup
-		for tid := 0; tid < n; tid++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				for r := 0; r < rounds; r++ {
-					// Distinct per-thread tick patterns.
-					a.Tick(tid, int64(1+tid))
-					a.WaitTurn(tid)
-					mu.Lock()
-					order = append(order, tid)
-					mu.Unlock()
-					a.ReleaseTurn(tid, 2)
-				}
-				a.Exit(tid)
-			}(tid)
-		}
-		wg.Wait()
-		return order
-	}
-	sequences := map[string][]int{}
-	for _, v := range arbVariants {
-		first := runOnce(v.opts...)
-		second := runOnce(v.opts...)
-		if len(first) != len(second) {
-			t.Fatalf("%s: grant counts differ: %d vs %d", v.name, len(first), len(second))
-		}
-		for i := range first {
-			if first[i] != second[i] {
-				t.Fatalf("%s: grant order diverges at %d: %v vs %v", v.name, i, first[i], second[i])
-			}
-		}
-		sequences[v.name] = first
-	}
-	tree, flat := sequences["tree"], sequences["flat"]
-	if len(tree) != len(flat) {
-		t.Fatalf("tree and flat grant counts differ: %d vs %d", len(tree), len(flat))
-	}
-	for i := range tree {
-		if tree[i] != flat[i] {
-			t.Fatalf("tree and flat grant orders diverge at %d: %d vs %d", i, tree[i], flat[i])
+	const n = 4
+	const rounds = 50
+	sc := newScript(n, rounds, func(tid, _ int) (int64, int64) {
+		return int64(1 + tid), 2 // distinct per-thread tick patterns
+	})
+	want := sc.model(false)
+	for run := 0; run < 2; run++ {
+		if i, ok := firstDiff(want, sc.run(t, false)); !ok {
+			t.Fatalf("run %d: grant order diverges from the host model at grant %d", run, i)
 		}
 	}
 }
@@ -284,9 +277,9 @@ func TestNondetArbiterSerializes(t *testing.T) {
 // TestTickIsCheapWithoutWaiters checks Tick does not require the mutex when
 // nobody waits (it must not deadlock or panic; we just exercise the path).
 func TestTickIsCheapWithoutWaiters(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
-			a := New(1, v.opts...)
+			a := v.arbiter(t, 1)
 			for i := 0; i < 1000; i++ {
 				a.Tick(0, 1)
 			}
@@ -301,18 +294,18 @@ func TestTickIsCheapWithoutWaiters(t *testing.T) {
 // handler fires — the repeatable deadlock broken ad-hoc synchronization
 // produces under determinism.
 func TestDeadlockDetection(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
-			a := New(3, v.opts...)
+			a := v.arbiter(t, 3)
 			fired := 0
 			a.SetDeadlockHandler(func() { fired++ })
 			a.Exit(2)
-			a.WaitTurn(0)
+			v.wait(t, a, 0)
 			a.Park(0)
 			if fired != 0 {
 				t.Fatal("deadlock reported while a thread was still runnable")
 			}
-			a.WaitTurn(1)
+			v.wait(t, a, 1)
 			a.Park(1)
 			if fired != 1 {
 				t.Fatalf("deadlock handler fired %d times, want 1", fired)
@@ -323,9 +316,9 @@ func TestDeadlockDetection(t *testing.T) {
 
 // TestNoDeadlockWhenAllExit: clean termination is not a deadlock.
 func TestNoDeadlockWhenAllExit(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
-			a := New(2, v.opts...)
+			a := v.arbiter(t, 2)
 			a.SetDeadlockHandler(func() { t.Fatal("deadlock reported on clean exit") })
 			a.Exit(0)
 			a.Exit(1)

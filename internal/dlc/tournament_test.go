@@ -29,9 +29,9 @@ func waitStatus(t *testing.T, a *Arbiter, tid int, st Status) {
 // last live thread's exit — if the exit lands first, the final SetParked is
 // the transition into deadlock, and before the fix nothing ever checked it.
 func TestSetParkedDeadlockDetection(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
-			a := New(3, v.opts...)
+			a := v.arbiter(t, 3)
 			fired := 0
 			a.SetDeadlockHandler(func() { fired++ })
 			a.Exit(0) // the last live thread leaves first...
@@ -53,10 +53,10 @@ func TestSetParkedDeadlockDetection(t *testing.T) {
 // exactly once — before the fix, interleavings where Exit preceded the
 // final SetParked hung forever.
 func TestSetParkedDeadlockDetectionConcurrent(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
 			for round := 0; round < 100; round++ {
-				a := New(4, v.opts...)
+				a := v.arbiter(t, 4)
 				fired := make(chan struct{}, 1)
 				a.SetDeadlockHandler(func() { fired <- struct{}{} })
 				var wg sync.WaitGroup
@@ -86,15 +86,15 @@ func TestSetParkedDeadlockDetectionConcurrent(t *testing.T) {
 // equality tick (admitting a lower-tid waiter) and the strict crossing
 // (admitting a higher-tid one).
 func TestEqualDLCWaitersWakeInTidOrder(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
-			a := New(3, v.opts...)
+			a := v.arbiter(t, 3)
 			a.SetDLC(0, 50)
 			a.SetDLC(1, 50) // two waiters at the same clock; thread 2 runs at 0
 			grants := make(chan int, 2)
 			for _, tid := range []int{0, 1} {
 				go func(tid int) {
-					a.WaitTurn(tid)
+					v.wait(t, a, tid)
 					grants <- tid
 					a.ReleaseTurn(tid, 10)
 				}(tid)
@@ -131,14 +131,14 @@ func TestEqualDLCWaitersWakeInTidOrder(t *testing.T) {
 // clock and never blocks behind it. A missed wakeup here would hang the
 // grant forever; the loop hunts for one across many live interleavings.
 func TestTickWaiterRegistrationRace(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
 			for round := 0; round < 300; round++ {
-				a := New(2, v.opts...)
+				a := v.arbiter(t, 2)
 				a.SetDLC(1, 10)
 				granted := make(chan struct{})
 				go func() {
-					a.WaitTurn(1) // registers at clock 10
+					v.wait(t, a, 1) // registers at clock 10
 					close(granted)
 				}()
 				// Concurrently jump from 0 past the waiter in one batch:
@@ -156,8 +156,8 @@ func TestTickWaiterRegistrationRace(t *testing.T) {
 	}
 }
 
-// TestStatsShape checks the cost counters: the tree arbiter reports its
-// match depth and both implementations count wakes and grant work.
+// TestStatsShape checks the cost counters: the arbiter reports its match
+// depth and counts wakes and grant work.
 func TestStatsShape(t *testing.T) {
 	a := New(5)
 	if got := a.Stats().Depth; got != 3 { // 5 threads -> 8 leaves -> depth 3
@@ -166,29 +166,27 @@ func TestStatsShape(t *testing.T) {
 	if got := New(1).Stats().Depth; got != 0 {
 		t.Fatalf("single-thread tree depth = %d, want 0", got)
 	}
-	if got := New(5, WithFlatArbiter()).Stats().Depth; got != 0 {
-		t.Fatalf("flat arbiter depth = %d, want 0", got)
+	if got := NewNondet(5).Stats().Depth; got != 0 {
+		t.Fatalf("nondeterministic arbiter depth = %d, want 0", got)
 	}
-	for _, v := range arbVariants {
-		a := New(2, v.opts...)
-		done := make(chan struct{})
-		go func() {
-			a.WaitTurn(1)
-			a.ReleaseTurn(1, 1)
-			close(done)
-		}()
-		waitStatus(t, a, 1, StatusWaiting)
-		for i := 0; i < 5; i++ {
-			a.Tick(0, 1)
-		}
-		<-done
-		st := a.Stats()
-		if st.Wakes == 0 {
-			t.Fatalf("%s: no wakes counted across a blocked grant", v.name)
-		}
-		if st.GrantWork == 0 {
-			t.Fatalf("%s: no grant work counted across a blocked grant", v.name)
-		}
+	a = New(2)
+	done := make(chan struct{})
+	go func() {
+		a.WaitTurn(1)
+		a.ReleaseTurn(1, 1)
+		close(done)
+	}()
+	waitStatus(t, a, 1, StatusWaiting)
+	for i := 0; i < 5; i++ {
+		a.Tick(0, 1)
+	}
+	<-done
+	st := a.Stats()
+	if st.Wakes == 0 {
+		t.Fatal("no wakes counted across a blocked grant")
+	}
+	if st.GrantWork == 0 {
+		t.Fatal("no grant work counted across a blocked grant")
 	}
 }
 
@@ -263,22 +261,22 @@ func TestAuditTreeDetectsCorruption(t *testing.T) {
 		t.Fatal("AuditTree accepted a missing leaf for an eligible thread")
 	}
 
-	if err := New(4, WithFlatArbiter()).AuditTree(); err != nil {
-		t.Fatalf("AuditTree on the flat oracle: %v", err)
+	if err := NewNondet(4).AuditTree(); err != nil {
+		t.Fatalf("AuditTree on the nondeterministic arbiter: %v", err)
 	}
 }
 
 // TestIncrementalCountsMatchScan cross-checks the O(1) deadlock counts
 // against AuditTurn's scan across a mix of transitions.
 func TestIncrementalCountsMatchScan(t *testing.T) {
-	for _, v := range arbVariants {
+	for _, v := range turnChecks {
 		t.Run(v.name, func(t *testing.T) {
-			a := New(6, v.opts...)
+			a := v.arbiter(t, 6)
 			a.SetParked(4)
 			a.SetParked(5)
 			a.Exit(3)
 			a.Unpark(4, 9)
-			a.WaitTurn(0)
+			v.wait(t, a, 0)
 			if err := a.AuditTurn(0); err != nil {
 				t.Fatal(err)
 			}
@@ -294,41 +292,16 @@ func TestIncrementalCountsMatchScan(t *testing.T) {
 }
 
 // TestTournamentManyThreads exercises deep trees: a 256-thread turn storm
-// with mutual exclusion checked by the arbiter's own audits, and the grant
-// sequence cross-checked tree-vs-flat.
+// whose every grant is audited (AuditTurn's scan is the (DLC, tid) minimum
+// over true clocks, AuditTree the tree-vs-scan agreement), and whose grant
+// sequence must equal the host model's.
 func TestTournamentManyThreads(t *testing.T) {
 	const n = 256
 	const rounds = 4
-	run := func(opts ...Option) []int {
-		a := New(n, opts...)
-		var mu sync.Mutex
-		var order []int
-		var wg sync.WaitGroup
-		for tid := 0; tid < n; tid++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				for r := 0; r < rounds; r++ {
-					a.Tick(tid, int64(1+(tid+r)%7))
-					a.WaitTurn(tid)
-					mu.Lock()
-					order = append(order, tid)
-					mu.Unlock()
-					a.ReleaseTurn(tid, int64(1+tid%3))
-				}
-				a.Exit(tid)
-			}(tid)
-		}
-		wg.Wait()
-		return order
-	}
-	tree, flat := run(), run(WithFlatArbiter())
-	if len(tree) != len(flat) {
-		t.Fatalf("grant counts differ: tree %d, flat %d", len(tree), len(flat))
-	}
-	for i := range tree {
-		if tree[i] != flat[i] {
-			t.Fatalf("grant %d: tree admitted %d, flat admitted %d", i, tree[i], flat[i])
-		}
+	sc := newScript(n, rounds, func(tid, r int) (int64, int64) {
+		return int64(1 + (tid+r)%7), int64(1 + tid%3)
+	})
+	if i, ok := firstDiff(sc.model(false), sc.run(t, true)); !ok {
+		t.Fatalf("grant %d: the tree arbiter diverges from the host model", i)
 	}
 }

@@ -243,8 +243,9 @@ type Engine interface {
 	// Deterministic reports whether two runs must produce identical
 	// sync-order traces and heaps.
 	Deterministic() bool
-	// ThreadStart runs before the thread's first instruction. The engine
-	// must set t.Mem here.
+	// ThreadStart runs before the thread's first instruction; Run calls
+	// it for every thread, in thread order, before any thread runs. The
+	// engine must set t.Mem here.
 	ThreadStart(t *Thread)
 	// ThreadExit runs after the thread halts; engines commit outstanding
 	// speculation and leave turn arbitration here. It returns false if it
@@ -662,6 +663,13 @@ func Run(eng Engine, progs []*Program, opts ...RunOption) {
 			close(grp.start[i])
 		}
 	}
+	// Every thread starts before any runs: the state ThreadStart sets up —
+	// for the versioned engines, the view and the commit sequence it is
+	// based on — must not depend on when a thread's goroutine is scheduled
+	// relative to other threads' commits.
+	for _, t := range threads {
+		eng.ThreadStart(t)
+	}
 	var wg sync.WaitGroup
 	wg.Add(len(threads))
 	for i, t := range threads {
@@ -672,7 +680,6 @@ func Run(eng Engine, progs []*Program, opts ...RunOption) {
 		go func(t *Thread, x Exec) {
 			defer wg.Done()
 			defer close(t.grp.done[t.ID])
-			t.eng.ThreadStart(t)
 			<-t.grp.start[t.ID]
 			if t.prog.StartSuspended {
 				// The spawner published its memory before releasing

@@ -2,8 +2,10 @@ package dvm
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // nullEngine executes programs over a plain shared array with a global
@@ -268,4 +270,47 @@ func TestBuildTwicePanics(t *testing.T) {
 	b := NewBuilder("x")
 	b.Build()
 	b.Build()
+}
+
+// startOrderEngine is a nullEngine whose ThreadStart for the last thread is
+// slow, and which records whether every thread had been started by the
+// time each thread ran its first instruction.
+type startOrderEngine struct {
+	*nullEngine
+	n       int
+	started atomic.Int32
+	early   atomic.Int32 // threads whose first instruction ran before every ThreadStart
+}
+
+func (e *startOrderEngine) ThreadStart(t *Thread) {
+	if t.ID == e.n-1 {
+		time.Sleep(20 * time.Millisecond)
+	}
+	e.nullEngine.ThreadStart(t)
+	e.started.Add(1)
+}
+
+// TestEveryThreadStartsBeforeAnyRuns pins Run's start order: ThreadStart
+// runs for every thread before any thread executes its first instruction,
+// so the state an engine sets up there (a versioned view's base sequence)
+// cannot depend on how goroutines are scheduled against other threads'
+// commits. The last thread's ThreadStart is slowed down so that a Run that
+// started threads from their own goroutines would let the others run first.
+func TestEveryThreadStartsBeforeAnyRuns(t *testing.T) {
+	const n = 8
+	e := &startOrderEngine{nullEngine: newNullEngine(8, 1), n: n}
+	progs := make([]*Program, n)
+	for i := range progs {
+		b := NewBuilder("start-order")
+		b.Do(func(*Thread) {
+			if e.started.Load() != n {
+				e.early.Add(1)
+			}
+		})
+		progs[i] = b.Build()
+	}
+	Run(e, progs)
+	if got := e.early.Load(); got != 0 {
+		t.Fatalf("%d thread(s) ran their first instruction before every thread had started", got)
+	}
 }
