@@ -330,22 +330,21 @@ func New(cfg Config, d Deps) *Engine {
 	if cfg.CheckInvariants {
 		e.audit = invariant.New(d.Arb, d.Tbl, d.Heap, d.OnViolation)
 	}
-	if d.Tbl != nil {
+	if d.Tbl != nil && cfg.Speculation {
 		// Conflicting-hinted locks start pessimistic: an all-failure
 		// success history keeps them conventional until RetryEvery probing
 		// earns speculation back, instead of paying the warm-up reverts
-		// the optimistic all-success seed would. (A no-op without per-lock
-		// statistics: the SpecHist slices are nil then.) Elision histories
+		// the optimistic all-success seed would. (A no-op without
+		// speculation metadata: the rows are nil then.) Elision histories
 		// need no such zeroing: they start zero for every lock and are
 		// earned through virtual probes (elide.go).
 		for l, h := range cfg.Hints {
 			if h != HintConflicting || l >= len(d.Tbl.Locks) {
 				continue
 			}
-			if cfg.Speculation {
-				hist := d.Tbl.Locks[l].SpecHist
-				for i := range hist {
-					hist[i] = 0
+			for tid := 0; tid < d.Tbl.NThreads; tid++ {
+				if row := d.Tbl.SpecRow(tid); row != nil {
+					row[l].Hist = 0
 				}
 			}
 		}
@@ -407,16 +406,15 @@ type tstate struct {
 	// so recycling cannot perturb deterministic allocation-order counts).
 	snapScratch  *dvm.Snapshot
 	dirtyScratch *vheap.DirtySnapshot
-	logLocks     []int64        // L_i: locks touched, in first-acquisition order
-	logCount     map[int64]int  // acquisitions per logged lock
-	logWrite     map[int64]bool // logged lock was taken exclusively at least once
-	heldSpecRead []int64        // locks currently held speculatively in shared mode
-	atomLog      []int64        // atomically accessed locations (§7 extension)
-	atomCount    map[int64]int  // accesses per logged location
-	wroteUnder   map[int64]bool // locks held during a store (WriteAware mode)
-	heldSpec     []int64        // locks currently held speculatively
-	runCS        int            // critical sections in the current run
-	noSpecNext   bool           // progress guarantee after a revert (§3.2)
+	logLocks     []logEntry         // L_i: locks touched, in first-acquisition order
+	lockRow      []lockSlot         // per lock ID: place in logLocks, WriteAware tag
+	specRow      []detsync.SpecMeta // this thread's per-lock success histories (§3.4)
+	heldSpecRead []int64            // locks currently held speculatively in shared mode
+	atomLog      []int64            // atomically accessed locations (§7 extension)
+	atomCount    map[int64]int      // accesses per logged location
+	heldSpec     []int64            // locks currently held speculatively
+	runCS        int                // critical sections in the current run
+	noSpecNext   bool               // progress guarantee after a revert (§3.2)
 
 	// Per-thread speculation history, used when PerLockStats is off.
 	threadHist     uint64
@@ -455,9 +453,9 @@ func (e *Engine) ThreadStart(t *dvm.Thread) {
 	if e.strong() && e.cfg.Spec.WriteAware {
 		t.Mem = writeAwareWindow{ts.mem, ts}
 	}
-	if e.cfg.Speculation {
-		ts.logCount = make(map[int64]int)
-		ts.logWrite = make(map[int64]bool)
+	if e.tbl != nil && (e.cfg.Speculation || e.cfg.Spec.WriteAware) {
+		ts.lockRow = make([]lockSlot, len(e.tbl.Locks))
+		ts.specRow = e.tbl.SpecRow(t.ID)
 	}
 	t.EngineData = ts
 	// The thread's logical-clock reader: arb.DLC is this thread's own
@@ -549,15 +547,21 @@ func (w writeAwareWindow) Store(addr, val int64) {
 
 // markWrite tags every currently held lock as having guarded a write.
 func (ts *tstate) markWrite() {
-	if ts.wroteUnder == nil {
-		ts.wroteUnder = make(map[int64]bool)
-	}
 	for _, l := range ts.heldSpec {
-		ts.wroteUnder[l] = true
+		ts.lockRow[l].wrote = true
 	}
 	for _, l := range ts.heldConv {
-		ts.wroteUnder[l] = true
+		ts.lockRow[l].wrote = true
 	}
+}
+
+// takeWrote reports whether a store happened while l was held, and clears
+// the tag: called where the thread releases l.
+func (ts *tstate) takeWrote(l int64) bool {
+	s := &ts.lockRow[l]
+	wrote := s.wrote
+	s.wrote = false
+	return wrote
 }
 
 // waitTurn blocks for the deterministic turn, charging blocked time.

@@ -179,7 +179,7 @@ func TestAdaptiveDisablesSpeculation(t *testing.T) {
 	// threshold.
 	low := false
 	for tid := 0; tid < 4; tid++ {
-		if detsync.SuccessRatePermille(r.tbl.Locks[0].SpecHist[tid]) < 850 {
+		if detsync.SuccessRatePermille(r.tbl.SpecRow(tid)[0].Hist) < 850 {
 			low = true
 		}
 	}
@@ -507,7 +507,7 @@ func TestPerThreadStatsMode(t *testing.T) {
 	}
 	// Per-lock histories must remain untouched (all ones).
 	for tid := 0; tid < 4; tid++ {
-		if r.tbl.Locks[0].SpecHist[tid] != ^uint64(0) {
+		if r.tbl.SpecRow(tid)[0].Hist != ^uint64(0) {
 			t.Errorf("per-lock history written in per-thread mode (tid %d)", tid)
 		}
 	}

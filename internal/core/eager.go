@@ -102,12 +102,11 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64) {
 	}
 	st.Owner = 0
 	st.ReleaseDLC = e.arb.DLC(t.ID)
-	if !e.cfg.Spec.WriteAware || ts.wroteUnder[l] {
+	if !e.cfg.Spec.WriteAware || ts.takeWrote(l) {
 		// The critical section's writes became visible with this
 		// commit; speculation runs based on older heap states conflict.
 		st.LastCommitSeq = e.pipe.Seq()
 	}
-	delete(ts.wroteUnder, l)
 	ts.depth--
 	ts.dropHeldConv(l)
 	e.rec.Sync(t.ID, trace.OpRelease, l, st.ReleaseDLC)
@@ -146,10 +145,9 @@ func (e *Engine) CondWait(t *dvm.Thread, cv, l int64) {
 	st := &e.tbl.Locks[l]
 	st.Owner = 0
 	st.ReleaseDLC = my
-	if !e.cfg.Spec.WriteAware || ts.wroteUnder[l] {
+	if !e.cfg.Spec.WriteAware || ts.takeWrote(l) {
 		st.LastCommitSeq = e.pipe.Seq()
 	}
-	delete(ts.wroteUnder, l)
 	ts.depth--
 	ts.dropHeldConv(l)
 	c := &e.tbl.Conds[cv]

@@ -47,7 +47,7 @@ func (e *Engine) lazyRLock(t *dvm.Thread, ts *tstate, l int64) {
 			e.specAcquire(t, ts, l, false)
 			return
 		}
-		want := e.shouldSpeculate(ts, t.ID, l)
+		want := e.shouldSpeculate(ts, l)
 		if want && ts.runCS < e.cfg.Spec.MaxRunCS {
 			e.specAcquire(t, ts, l, false)
 			return
@@ -63,7 +63,7 @@ func (e *Engine) lazyRLock(t *dvm.Thread, ts *tstate, l int64) {
 		e.convRLock(t, ts, l)
 		return
 	}
-	if ts.depth == 0 && !ts.noSpecNext && e.shouldSpeculate(ts, t.ID, l) {
+	if ts.depth == 0 && !ts.noSpecNext && e.shouldSpeculate(ts, l) {
 		e.beginRun(t, ts)
 		e.specAcquire(t, ts, l, false)
 		return

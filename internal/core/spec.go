@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"lazydet/internal/detsync"
@@ -25,7 +26,7 @@ func (e *Engine) lazyLock(t *dvm.Thread, ts *tstate, l int64) {
 			e.specAcquire(t, ts, l, true)
 			return
 		}
-		want := e.shouldSpeculate(ts, t.ID, l)
+		want := e.shouldSpeculate(ts, l)
 		if want && ts.runCS < e.cfg.Spec.MaxRunCS {
 			e.specAcquire(t, ts, l, true)
 			return
@@ -43,7 +44,7 @@ func (e *Engine) lazyLock(t *dvm.Thread, ts *tstate, l int64) {
 		e.convLock(t, ts, l)
 		return
 	}
-	if ts.depth == 0 && !ts.noSpecNext && e.shouldSpeculate(ts, t.ID, l) {
+	if ts.depth == 0 && !ts.noSpecNext && e.shouldSpeculate(ts, l) {
 		e.beginRun(t, ts)
 		e.specAcquire(t, ts, l, true)
 		return
@@ -59,6 +60,11 @@ func (e *Engine) lazyLock(t *dvm.Thread, ts *tstate, l int64) {
 // sequence the run's reads are based on (§3.1). Both snapshots are rebuilt
 // into per-thread scratch buffers, so steady-state BEGINs allocate nothing.
 func (e *Engine) beginRun(t *dvm.Thread, ts *tstate) {
+	if e.audit != nil {
+		// A stale lock-row entry would let a lock the run acquires skip
+		// its log entry, and with it validation.
+		e.audit.AtSpecLog(t.ID, ts)
+	}
 	ts.snapScratch = t.SnapshotInto(ts.snapScratch)
 	ts.snap = ts.snapScratch
 	ts.dirtyScratch = ts.mem.SnapshotDirtyInto(ts.dirtyScratch)
@@ -69,18 +75,41 @@ func (e *Engine) beginRun(t *dvm.Thread, ts *tstate) {
 	ts.runCS = 0
 }
 
+// logEntry is one lock of a run's log L_i.
+type logEntry struct {
+	lock  int64
+	count int32 // acquisitions of the lock in this run
+	write bool  // taken exclusively at least once in this run
+}
+
+// lockSlot is one entry of a thread's dense per-lock row, indexed by lock ID:
+// the speculative acquire finds the lock's log entry without hashing.
+type lockSlot struct {
+	// logPos is 1 + the lock's position in logLocks, 0 when the current run
+	// has not logged the lock. resetSpec clears exactly the slots the run
+	// set, so the row is never scanned or reallocated per run.
+	logPos int32
+	// wrote tags a lock held during a store (WriteAware mode). A committing
+	// run keeps the tags of the locks it still holds; every other tag is
+	// cleared at the lock's release, commit or revert.
+	wrote bool
+}
+
 // specAcquire records a speculative acquisition in the thread-local log
 // L_i. No coordination with other threads happens (§3.1). Shared-mode
 // acquisitions (write = false) are logged as reads, which never conflict
 // with other readers.
 func (e *Engine) specAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
-	if ts.logCount[l] == 0 {
-		ts.logLocks = append(ts.logLocks, l)
+	slot := &ts.lockRow[l]
+	if slot.logPos == 0 {
+		ts.logLocks = append(ts.logLocks, logEntry{lock: l})
+		slot.logPos = int32(len(ts.logLocks))
 	}
-	ts.logCount[l]++
+	ent := &ts.logLocks[slot.logPos-1]
+	ent.count++
 	op := trace.OpRAcquire
 	if write {
-		ts.logWrite[l] = true
+		ent.write = true
 		ts.heldSpec = append(ts.heldSpec, l)
 		op = trace.OpAcquire
 	} else {
@@ -113,7 +142,7 @@ func (e *Engine) specRelease(t *dvm.Thread, ts *tstate, l int64) {
 // the threshold; below it, probe every RetryEvery suppressed attempts to
 // notice program phase changes. All state read here is thread-private, so
 // the decision is deterministic.
-func (e *Engine) shouldSpeculate(ts *tstate, tid int, l int64) bool {
+func (e *Engine) shouldSpeculate(ts *tstate, l int64) bool {
 	// A statically Disjoint lock always speculates: its critical sections
 	// have provably non-overlapping footprints, so speculation on it can
 	// never fail validation (DESIGN.md §5e) and warm-up or probing would
@@ -126,9 +155,9 @@ func (e *Engine) shouldSpeculate(ts *tstate, tid int, l int64) bool {
 	var hist uint64
 	var attempts *uint32
 	if e.cfg.Spec.PerLockStats {
-		st := &e.tbl.Locks[l]
-		hist = st.SpecHist[tid]
-		attempts = &st.SpecAttempts[tid]
+		m := &ts.specRow[l]
+		hist = m.Hist
+		attempts = &m.Attempts
 	} else {
 		hist = ts.threadHist
 		attempts = &ts.threadAttempts
@@ -142,14 +171,14 @@ func (e *Engine) shouldSpeculate(ts *tstate, tid int, l int64) bool {
 
 // recordOutcome shifts the run's outcome into the history of every lock it
 // touched (or the thread history when per-lock statistics are disabled).
-func (e *Engine) recordOutcome(ts *tstate, tid int, success bool) {
+func (e *Engine) recordOutcome(ts *tstate, success bool) {
 	if !e.cfg.Spec.PerLockStats {
 		ts.threadHist = detsync.PushOutcome(ts.threadHist, success)
 		return
 	}
-	for _, l := range ts.logLocks {
-		h := &e.tbl.Locks[l].SpecHist[tid]
-		*h = detsync.PushOutcome(*h, success)
+	for i := range ts.logLocks {
+		m := &ts.specRow[ts.logLocks[i].lock]
+		m.Hist = detsync.PushOutcome(m.Hist, success)
 	}
 }
 
@@ -168,7 +197,9 @@ func (e *Engine) validate(ts *tstate) bool {
 	if !e.validateAtomics(ts) {
 		return false
 	}
-	for _, l := range ts.logLocks {
+	for i := range ts.logLocks {
+		ent := &ts.logLocks[i]
+		l := ent.lock
 		if e.hint(l) == HintDisjoint {
 			// Statically disjoint footprints: no section guarded by l
 			// reads or writes data another section of l touches, so
@@ -184,7 +215,7 @@ func (e *Engine) validate(ts *tstate) bool {
 			st.ConflictReverts++
 			return false // exclusively held by another thread
 		}
-		if ts.logWrite[l] && st.Readers != 0 {
+		if ent.write && st.Readers != 0 {
 			st.ConflictReverts++
 			return false // our write conflicts with live readers
 		}
@@ -242,28 +273,29 @@ func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
 	// lock (the lock that began the run). An irrevocable run publishes
 	// eagerly: its deferred state was already settled at the upgrade.
 	if !ts.irrevocable && len(ts.logLocks) > 0 {
-		e.releasePublish(t, ts, ts.logLocks[0])
+		e.releasePublish(t, ts, ts.logLocks[0].lock)
 	} else {
 		e.publishRefreshLazy(t, ts)
 	}
 	my := e.arb.DLC(t.ID)
 	seq := e.pipe.Seq()
-	for _, l := range ts.logLocks {
-		st := &e.tbl.Locks[l]
-		if ts.logWrite[l] {
+	for i := range ts.logLocks {
+		ent := &ts.logLocks[i]
+		st := &e.tbl.Locks[ent.lock]
+		if ent.write {
 			st.LastAcquireDLC = my
 			if !e.cfg.Spec.WriteAware {
 				st.LastCommitSeq = seq
-			} else if ts.wroteUnder[l] {
+			} else if slot := &ts.lockRow[ent.lock]; slot.wrote {
 				st.LastCommitSeq = seq
 				// heldSpec is a handful of nested locks at most; a linear
-				// scan beats allocating a membership map per commit.
-				if !containsLock(ts.heldSpec, l) {
-					delete(ts.wroteUnder, l)
+				// scan beats keeping a membership set per run.
+				if !containsLock(ts.heldSpec, ent.lock) {
+					slot.wrote = false
 				}
 			}
 		}
-		st.Acquires += int64(ts.logCount[l])
+		st.Acquires += int64(ent.count)
 	}
 	e.commitAtomicsLocked(ts)
 	for _, l := range ts.heldSpec {
@@ -274,7 +306,7 @@ func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
 		e.tbl.Locks[l].Readers++
 		ts.heldConvRead = append(ts.heldConvRead, l)
 	}
-	e.recordOutcome(ts, t.ID, true)
+	e.recordOutcome(ts, true)
 	if e.spec != nil {
 		e.spec.Commits.Add(1)
 		e.spec.CommittedCS.Add(int64(ts.runCS))
@@ -308,7 +340,7 @@ func (e *Engine) revertLocked(t *dvm.Thread, ts *tstate) {
 		// state; the restore must have preserved it word for word.
 		e.audit.AtDeferred(t.ID, ts.mem)
 	}
-	e.recordOutcome(ts, t.ID, false)
+	e.recordOutcome(ts, false)
 	if e.spec != nil {
 		e.spec.Reverts.Add(1)
 		e.spec.AddRevertSample(cost, discarded)
@@ -322,7 +354,11 @@ func (e *Engine) revertLocked(t *dvm.Thread, ts *tstate) {
 	}
 	e.rec.Sync(t.ID, trace.OpSpecRevert, int64(ts.runCS), e.arb.DLC(t.ID))
 	ts.noSpecNext = true
-	clear(ts.wroteUnder) // discarded writes never became visible
+	// Discarded writes never became visible. Only logged locks can carry a
+	// tag here: a run begins holding no lock (spec-log rule).
+	for i := range ts.logLocks {
+		ts.lockRow[ts.logLocks[i].lock].wrote = false
+	}
 	e.resetSpec(ts)
 	ts.depth = len(ts.heldConv) + len(ts.heldConvRead) // always 0: runs begin outside critical sections
 }
@@ -338,20 +374,40 @@ func containsLock(held []int64, l int64) bool {
 	return false
 }
 
-// resetSpec clears per-run state.
+// resetSpec clears per-run state. Only the lock-row slots this run logged
+// are touched, so nothing is hashed, scanned or allocated per run.
 func (e *Engine) resetSpec(ts *tstate) {
 	ts.spec = false
 	ts.irrevocable = false
 	ts.snap = nil
 	ts.dirtySnap = nil
+	for i := range ts.logLocks {
+		ts.lockRow[ts.logLocks[i].lock].logPos = 0
+	}
 	ts.logLocks = ts.logLocks[:0]
-	clear(ts.logCount)
-	clear(ts.logWrite)
 	ts.atomLog = ts.atomLog[:0]
 	clear(ts.atomCount)
 	ts.heldSpec = ts.heldSpec[:0]
 	ts.heldSpecRead = ts.heldSpecRead[:0]
 	ts.runCS = 0
+}
+
+// AuditSpecLog checks the thread's dense lock row against its run log (the
+// spec-log invariant): a set slot must point at the log entry of its own
+// lock, and a WriteAware tag may sit only on a lock the thread holds or has
+// logged. A stale position would send a lock's acquisitions to another
+// lock's entry, so the lock would skip validation.
+func (ts *tstate) AuditSpecLog() error {
+	for l := range ts.lockRow {
+		s := ts.lockRow[l]
+		if s.logPos != 0 && (int(s.logPos) > len(ts.logLocks) || ts.logLocks[s.logPos-1].lock != int64(l)) {
+			return fmt.Errorf("lock %d has row slot %d but is not at that place in a log of %d locks", l, s.logPos, len(ts.logLocks))
+		}
+		if s.wrote && s.logPos == 0 && !containsLock(ts.heldSpec, int64(l)) && !containsLock(ts.heldConv, int64(l)) {
+			return fmt.Errorf("lock %d carries a write tag but is neither held nor logged", l)
+		}
+	}
+	return nil
 }
 
 // enterIrrevocable handles a system call during speculation (§3.5).

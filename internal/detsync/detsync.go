@@ -38,15 +38,6 @@ type Lock struct {
 	LastCommitSeq int64
 	// Acquires counts total acquisitions (Table 1 statistics).
 	Acquires int64
-	// SpecHist is the per-thread 64-bit success history: bit i of
-	// SpecHist[tid] records whether one of thread tid's last 64
-	// speculation runs involving this lock committed (paper §3.4). The
-	// metadata is per-thread so speculation decisions stay deterministic
-	// (paper footnote 3).
-	SpecHist []uint64
-	// SpecAttempts counts, per thread, speculation decisions made while
-	// below the success threshold, to implement retry-every-N probing.
-	SpecAttempts []uint32
 	// ConflictReverts counts speculation reverts attributed to this lock:
 	// validation runs whose first failing check was one of this lock's
 	// conflict checks. Reverts caused by atomic-location validation are
@@ -58,13 +49,25 @@ type Lock struct {
 	// a virtual probe, hypothetically deferred) publication at one of the
 	// last 64 eager releases survived until the owner's next release without
 	// any other publication advancing the heap — the condition under which a
-	// real stage would have merged there. Unlike SpecHist it is not
+	// real stage would have merged there. Unlike SpecMeta.Hist it is not
 	// per-thread — a miss means the interval was crossed by a foreign
 	// publication, which predicts misses for every owner. Mutated only at
 	// turns (outcomes resolve at the owner's next publication point, which
 	// is a turn), so decisions stay deterministic. Starts zero: elision is
 	// earned through cost-free virtual probes, never paid for up front.
 	ElideHist uint64
+}
+
+// SpecMeta is one thread's adaptive-speculation metadata for one lock
+// (paper §3.4). The metadata is per-thread so speculation decisions stay
+// deterministic (paper footnote 3).
+type SpecMeta struct {
+	// Hist is the 64-bit success history: bit i records whether one of the
+	// thread's last 64 speculation runs involving this lock committed.
+	Hist uint64
+	// Attempts counts speculation decisions made while below the success
+	// threshold, to implement retry-every-N probing.
+	Attempts uint32
 }
 
 // Cond is a deterministic condition variable: a FIFO queue of parked
@@ -96,11 +99,18 @@ type Table struct {
 	// SpawnSeq records, per thread, the heap sequence published at the
 	// turn that spawned it; the thread re-bases its view there on resume.
 	SpawnSeq []int64
-	wake     []chan struct{}
+	// spec holds one SpecMeta row per thread, indexed by lock: thread-major,
+	// so the only thread that touches a row owns every cache line of it.
+	spec [][]SpecMeta
+	wake []chan struct{}
 }
 
+// specRowGap is the padding between two threads' SpecMeta rows: 4 × 16 bytes,
+// one 64-byte cache line.
+const specRowGap = 4
+
 // NewTable allocates nlocks locks, nconds condition variables and nbarriers
-// barriers for nthreads threads. If specMeta is true, per-(lock, thread)
+// barriers for nthreads threads. If specMeta is true, per-(thread, lock)
 // speculation metadata is allocated with all-success histories, so
 // speculation starts optimistically enabled.
 func NewTable(nthreads, nlocks, nconds, nbarriers int, specMeta bool) *Table {
@@ -117,20 +127,30 @@ func NewTable(nthreads, nlocks, nconds, nbarriers int, specMeta bool) *Table {
 		t.wake[i] = make(chan struct{}, 1)
 	}
 	if specMeta {
-		// Two flat backing arrays instead of two slices per lock: workloads
-		// with thousands of locks (hash-table buckets) would otherwise pay
-		// 2·nlocks allocations here on every run.
-		hist := make([]uint64, nlocks*nthreads)
-		for i := range hist {
-			hist[i] = ^uint64(0)
+		// One backing array, not one per thread: runs with thousands of
+		// threads would otherwise pay an allocation per thread here. Rows
+		// are a cache line apart, so no two threads' rows share one.
+		stride := nlocks + specRowGap
+		meta := make([]SpecMeta, nthreads*stride)
+		for i := range meta {
+			meta[i].Hist = ^uint64(0)
 		}
-		attempts := make([]uint32, nlocks*nthreads)
-		for i := range t.Locks {
-			t.Locks[i].SpecHist = hist[i*nthreads : (i+1)*nthreads : (i+1)*nthreads]
-			t.Locks[i].SpecAttempts = attempts[i*nthreads : (i+1)*nthreads : (i+1)*nthreads]
+		t.spec = make([][]SpecMeta, nthreads)
+		for tid := range t.spec {
+			t.spec[tid] = meta[tid*stride : tid*stride+nlocks : tid*stride+nlocks]
 		}
 	}
 	return t
+}
+
+// SpecRow returns thread tid's speculation metadata, indexed by lock ID; nil
+// when the table was built without speculation metadata. Only thread tid
+// may read or write the row while the run is live.
+func (t *Table) SpecRow(tid int) []SpecMeta {
+	if t.spec == nil {
+		return nil
+	}
+	return t.spec[tid]
 }
 
 // Wake unblocks thread tid (which must be blocked, or about to block, in

@@ -3,6 +3,7 @@ package detsync
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewTableAllocation(t *testing.T) {
@@ -11,12 +12,14 @@ func TestNewTableAllocation(t *testing.T) {
 		t.Fatalf("table sizes wrong: %d locks %d conds %d barriers",
 			len(tbl.Locks), len(tbl.Conds), len(tbl.Barriers))
 	}
-	for i := range tbl.Locks {
-		if len(tbl.Locks[i].SpecHist) != 4 || len(tbl.Locks[i].SpecAttempts) != 4 {
-			t.Fatalf("lock %d speculation metadata not per-thread", i)
+	for tid := 0; tid < 4; tid++ {
+		if len(tbl.SpecRow(tid)) != 10 {
+			t.Fatalf("thread %d speculation metadata does not cover every lock", tid)
 		}
+	}
+	for i := range tbl.Locks {
 		for tid := 0; tid < 4; tid++ {
-			if tbl.Locks[i].SpecHist[tid] != ^uint64(0) {
+			if tbl.SpecRow(tid)[i].Hist != ^uint64(0) {
 				t.Fatalf("history must start all-success (optimistic)")
 			}
 		}
@@ -25,10 +28,37 @@ func TestNewTableAllocation(t *testing.T) {
 
 func TestNewTableWithoutSpecMeta(t *testing.T) {
 	tbl := NewTable(2, 3, 0, 0, false)
-	for i := range tbl.Locks {
-		if tbl.Locks[i].SpecHist != nil {
+	for tid := 0; tid < 2; tid++ {
+		if tbl.SpecRow(tid) != nil {
 			t.Fatal("speculation metadata allocated although disabled")
 		}
+	}
+}
+
+// TestSpecRowsDoNotShareCacheLines: each thread's row is written only by that
+// thread, so two rows must never meet in one 64-byte line, and appending to
+// a row must not run into the next.
+func TestSpecRowsDoNotShareCacheLines(t *testing.T) {
+	for _, nlocks := range []int{1, 3, 10, 1000} {
+		tbl := NewTable(3, nlocks, 0, 0, true)
+		for tid := 0; tid+1 < 3; tid++ {
+			row, next := tbl.SpecRow(tid), tbl.SpecRow(tid+1)
+			if cap(row) != nlocks {
+				t.Fatalf("nlocks=%d: row %d has capacity %d, want %d", nlocks, tid, cap(row), nlocks)
+			}
+			end := uintptr(unsafe.Pointer(&row[nlocks-1])) + unsafe.Sizeof(row[0])
+			if gap := uintptr(unsafe.Pointer(&next[0])) - end; gap < 64 {
+				t.Fatalf("nlocks=%d: rows %d and %d are %d bytes apart, want a full cache line", nlocks, tid, tid+1, gap)
+			}
+		}
+	}
+}
+
+// TestLockFitsOneCacheLine: validate and commit read the fields of every
+// logged lock, so a Lock must stay no larger than one 64-byte line.
+func TestLockFitsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Lock{}); n > 64 {
+		t.Fatalf("sizeof(Lock) = %d bytes, want at most 64", n)
 	}
 }
 

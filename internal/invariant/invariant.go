@@ -34,6 +34,9 @@
 //     equal the BEGIN snapshot, and the view's dirty set is exactly the
 //     pre-run dirty set — the run's writes are gone and the pre-run writes
 //     survived.
+//  5. Speculation-log consistency (internal/core): at every BEGIN, the
+//     thread's dense per-lock row agrees with its run log entry for entry,
+//     so every lock a run acquires is logged, and validated, as itself.
 //
 // A violation is reported as a structured diagnostic (*Violation) naming the
 // rule, thread, logical time and lock, at the turn where the corruption is
@@ -44,7 +47,8 @@
 // Checker methods are invoked only by the thread currently holding the
 // deterministic turn; consecutive turn holders synchronize through the
 // arbiter, so the checker's shadow state needs no locking of its own (the
-// same argument detsync makes for the lock table).
+// same argument detsync makes for the lock table). AtSpecLog is the one
+// exception: it touches no shadow state, only the calling thread's own.
 package invariant
 
 import (
@@ -261,6 +265,30 @@ func (c *Checker) AtDeferred(tid int, m DeferredAuditor) {
 	}
 	if err := m.AuditDeferred(); err != nil {
 		c.violate(tid, -1, "deferred-publish", err.Error())
+	}
+}
+
+// SpecLogAuditor is the slice of a thread's speculation state the checker
+// needs at a BEGIN: a self-check of the dense lock row that indexes the
+// run's lock log.
+type SpecLogAuditor interface {
+	// AuditSpecLog returns a descriptive error if a row entry is set for a
+	// lock the log does not hold at that place.
+	AuditSpecLog() error
+}
+
+// AtSpecLog audits the spec-log invariant: the thread's per-lock row must
+// agree with its speculation log, entry for entry. A stale entry would make
+// a lock the run acquires skip its conflict check at validation — a silent
+// determinism bug. The engine calls it at every BEGIN of a speculation run,
+// on the beginning thread. Unlike the other audits this one runs off-turn:
+// it reads only the calling thread's private state and its own clock.
+func (c *Checker) AtSpecLog(tid int, m SpecLogAuditor) {
+	if c == nil {
+		return
+	}
+	if err := m.AuditSpecLog(); err != nil {
+		c.violate(tid, -1, "spec-log", err.Error())
 	}
 }
 

@@ -209,6 +209,34 @@ func TestCheckerAtPublish(t *testing.T) {
 	}
 }
 
+// faultySpecLog is a SpecLogAuditor stub reporting a fixed log breach.
+type faultySpecLog struct{ err error }
+
+func (f faultySpecLog) AuditSpecLog() error { return f.err }
+
+// TestCheckerAtSpecLog: a lock-row audit failure surfaces as a structured
+// spec-log violation naming the beginning thread, and a clean audit reports
+// nothing. The rule needs no heap: it audits thread-private state only.
+func TestCheckerAtSpecLog(t *testing.T) {
+	arb := dlc.New(2)
+	tbl := detsync.NewTable(2, 4, 0, 0, true)
+	var got []*invariant.Violation
+	c := invariant.New(arb, tbl, nil, func(v *invariant.Violation) { got = append(got, v) })
+	c.AtSpecLog(1, faultySpecLog{})
+	if len(got) != 0 {
+		t.Fatalf("clean spec-log audit flagged: %v", got[0])
+	}
+	c.AtSpecLog(1, faultySpecLog{err: errors.New("lock 3 has row slot 1 but is not at that place in a log of 0 locks")})
+	if len(got) != 1 {
+		t.Fatalf("failed spec-log audit reported %d violations, want 1", len(got))
+	}
+	if v := got[0]; v.Rule != "spec-log" || v.Thread != 1 || !strings.Contains(v.Detail, "lock 3") {
+		t.Fatalf("violation = %v, want spec-log on thread 1 naming lock 3", v)
+	}
+	var nilChecker *invariant.Checker
+	nilChecker.AtSpecLog(0, faultySpecLog{err: errors.New("ignored")})
+}
+
 // TestEndToEndDirtyAuditClean: with invariants on, a real speculative run
 // exercises AtPublish at every publication and stays clean — the store path
 // marks exactly what commits merge.
