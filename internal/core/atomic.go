@@ -62,25 +62,25 @@ func (e *Engine) Atomic(t *dvm.Thread, a *dvm.Atomic) int64 {
 func (e *Engine) irrevocableAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int64 {
 	addr := a.Addr(t)
 	if ts.atomCount[addr] > 0 {
-		cur := ts.mem.Load(addr)
+		cur := ts.view.Load(addr)
 		store, result := a.Apply(t, cur)
-		ts.mem.Store(addr, store)
+		ts.view.Store(addr, store)
 		ts.atomTouch(addr)
 		e.rec.Sync(t.ID, trace.OpAtomic, addr, e.arb.DLC(t.ID))
 		return result
 	}
-	cur := e.pipe.ReadCommitted(addr)
+	cur := e.heap.ReadCommitted(addr)
 	store, result := a.Apply(t, cur)
 	// The value was computed against state newer than the view's base, so
 	// the store must win the commit merge even if it looks silent.
-	ts.mem.StoreDirty(addr, store)
+	ts.view.StoreDirty(addr, store)
 	ts.atomTouch(addr)
 	e.rec.Sync(t.ID, trace.OpAtomic, addr, e.arb.DLC(t.ID))
 	return result
 }
 
 // eagerAtomic totally orders the read-modify-write at the turn. The same
-// sequence serves both memory pipelines: on flat memory the publish and
+// sequence serves both memory substrates: on flat memory the publish and
 // refresh halves are no-ops, leaving exactly the load/apply/store the weak
 // engines need.
 func (e *Engine) eagerAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int64 {
@@ -96,7 +96,7 @@ func (e *Engine) eagerAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int64 {
 	ts.mem.Store(addr, store)
 	e.publishAndRefresh(t, ts)
 	if e.strong() {
-		e.tbl.Atomics[addr] = e.pipe.Seq()
+		e.tbl.Atomics[addr] = e.heap.Seq()
 	}
 	e.rec.Sync(t.ID, trace.OpAtomic, addr, e.arb.DLC(t.ID))
 	e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
@@ -107,9 +107,9 @@ func (e *Engine) eagerAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int64 {
 // the location for commit-time conflict detection.
 func (e *Engine) specAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int64 {
 	addr := a.Addr(t)
-	cur := ts.mem.Load(addr)
+	cur := ts.view.Load(addr)
 	store, result := a.Apply(t, cur)
-	ts.mem.Store(addr, store)
+	ts.view.Store(addr, store)
 	ts.atomTouch(addr)
 	e.rec.Sync(t.ID, trace.OpAtomic, addr, e.arb.DLC(t.ID))
 	return result
@@ -144,7 +144,7 @@ func (e *Engine) commitAtomicsLocked(ts *tstate) {
 	if len(ts.atomLog) == 0 {
 		return
 	}
-	seq := e.pipe.Seq()
+	seq := e.heap.Seq()
 	for _, addr := range ts.atomLog {
 		e.tbl.Atomics[addr] = seq
 	}

@@ -29,7 +29,6 @@ import (
 	"lazydet/internal/dlc"
 	"lazydet/internal/dvm"
 	"lazydet/internal/invariant"
-	"lazydet/internal/mempipe"
 	"lazydet/internal/shmem"
 	"lazydet/internal/stats"
 	"lazydet/internal/telemetry"
@@ -266,7 +265,8 @@ type Engine struct {
 	cfg   Config
 	arb   *dlc.Arbiter
 	tbl   *detsync.Table
-	pipe  mempipe.Pipeline
+	heap  *vheap.Heap // strong mode: versioned, isolated memory
+	mem   *shmem.Mem  // weak modes: flat memory, stores global at once
 	rec   *trace.Recorder
 	times *stats.Times
 	spec  *stats.Spec
@@ -316,16 +316,18 @@ func New(cfg Config, d Deps) *Engine {
 		tel:              d.Tel,
 		irrevocableOwner: -1,
 	}
+	shards := 1 // flat memory is unsharded: every store lands directly
 	if cfg.Mode == ModeStrong {
-		e.pipe = mempipe.NewVersioned(d.Heap, d.Tel)
+		e.heap = d.Heap
+		shards = d.Heap.Shards()
 	} else {
-		e.pipe = mempipe.NewFlat(d.Mem)
+		e.mem = d.Mem
 	}
 	if d.Tel != nil {
 		// A pure function of the heap configuration, so a gated metric: a
 		// run that silently changed its publication sharding should fail
 		// the perf gate's comparison, not pass with different plumbing.
-		d.Tel.SetGauge("mempipe.shards", float64(e.pipe.Shards()))
+		d.Tel.SetGauge("mempipe.shards", float64(shards))
 	}
 	if cfg.CheckInvariants {
 		e.audit = invariant.New(d.Arb, d.Tbl, d.Heap, d.OnViolation)
@@ -374,12 +376,24 @@ func (e *Engine) Deterministic() bool { return e.cfg.Mode != ModeWeakNondet }
 // strong reports whether the engine isolates threads in versioned memory.
 func (e *Engine) strong() bool { return e.cfg.Mode == ModeStrong }
 
+// seq returns the newest published commit sequence: always 0 on flat
+// memory, where stores are global the moment they happen.
+func (e *Engine) seq() int64 {
+	if e.heap == nil {
+		return 0
+	}
+	return e.heap.Seq()
+}
+
 // tstate is the engine's per-thread state, stored in Thread.EngineData.
 type tstate struct {
-	// mem is the thread's window onto the engine's memory pipeline:
-	// versioned (isolated) in strong mode, flat otherwise. The same window
-	// backs the VM's Thread.Mem.
-	mem mempipe.Thread
+	// mem is the thread's window for loads and stores: its view in strong
+	// mode, the flat shared memory otherwise. The same window backs the
+	// VM's Thread.Mem unless write-aware tagging wraps it.
+	mem dvm.MemWindow
+	// view is the thread's isolated versioned view, nil in the weak modes.
+	// Publication, refresh and speculation drive it directly.
+	view *vheap.View
 
 	// depth is the current lock nesting, speculative or conventional,
 	// exclusive or shared.
@@ -448,10 +462,14 @@ func (e *Engine) ts(t *dvm.Thread) *tstate { return t.EngineData.(*tstate) }
 // are spawned.
 func (e *Engine) ThreadStart(t *dvm.Thread) {
 	ts := &tstate{threadHist: ^uint64(0)}
-	ts.mem = e.pipe.NewThread(t.ID)
+	ts.mem = e.mem
+	if e.heap != nil {
+		ts.view = e.heap.NewView()
+		ts.mem = ts.view
+	}
 	t.Mem = ts.mem
-	if e.strong() && e.cfg.Spec.WriteAware {
-		t.Mem = writeAwareWindow{ts.mem, ts}
+	if ts.view != nil && e.cfg.Spec.WriteAware {
+		t.Mem = writeAwareWindow{ts.view, ts}
 	}
 	if e.tbl != nil && (e.cfg.Speculation || e.cfg.Spec.WriteAware) {
 		ts.lockRow = make([]lockSlot, len(e.tbl.Locks))
@@ -514,7 +532,9 @@ func (e *Engine) ThreadExit(t *dvm.Thread) bool {
 		}
 	}
 	e.arb.Exit(t.ID)
-	ts.mem.Close()
+	if ts.view != nil {
+		ts.view.Close()
+	}
 	return true
 }
 
@@ -530,16 +550,16 @@ func (e *Engine) Tick(t *dvm.Thread, cost int64) {
 
 // writeAwareWindow is the memory window installed when write-aware conflict
 // detection is on: it intercepts the VM's stores to tag the locks held at
-// the store, and passes everything else through to the pipeline window.
-// Only the VM's plain stores go through it — speculation-internal stores
-// (atomics) use ts.mem directly and are tracked by the atomic log instead.
+// the store, and passes loads through to the thread's view. Only the VM's
+// plain stores go through it — speculation-internal stores (atomics) use
+// ts.view directly and are tracked by the atomic log instead.
 type writeAwareWindow struct {
-	mempipe.Thread
+	*vheap.View
 	ts *tstate
 }
 
 func (w writeAwareWindow) Store(addr, val int64) {
-	w.Thread.Store(addr, val)
+	w.View.Store(addr, val)
 	if w.ts.depth > 0 {
 		w.ts.markWrite()
 	}
@@ -622,24 +642,30 @@ func (e *Engine) waitCommitTurn(t *dvm.Thread) {
 	}
 }
 
-// publish makes the thread's unpublished writes globally visible through the
-// memory pipeline, recording the commit in the trace and auditing commit
-// integrity. On flat (weak-mode) memory the window is never dirty and this
-// is a no-op — which is what lets the synchronization paths drive one
+// publish makes the thread's unpublished writes globally visible with a
+// versioned commit of its view, recording the commit in the trace and
+// auditing commit integrity. On flat (weak-mode) memory there is no view and
+// this is a no-op — which is what lets the synchronization paths drive one
 // publication choreography for every engine. Reports whether a physical
 // commit happened. Caller holds the turn.
 func (e *Engine) publish(t *dvm.Thread, ts *tstate) bool {
-	if !ts.mem.Dirty() {
+	v := ts.view
+	if v == nil || v.DirtyPages() == 0 {
 		return false
 	}
 	defer phaseBegin(phaseCommit)()
 	if e.audit != nil {
-		e.audit.AtPublish(t.ID, ts.mem)
+		e.audit.AtPublish(t.ID, v)
 	}
-	seq, committed := ts.mem.Publish()
-	if !committed {
+	// Unpublished, not DirtyPages: an elided window retains its dirty set
+	// across staged publications, and a force point with no writes since the
+	// last stage must publish nothing — exactly when the eager path's dirty
+	// set would have been empty. The two tests coincide in eager operation.
+	if !v.Unpublished() {
 		return false
 	}
+	e.countPublish(v)
+	seq, _ := v.Commit()
 	my := e.arb.DLC(t.ID)
 	e.rec.Commit(t.ID, my, seq)
 	if e.tel != nil {
@@ -657,7 +683,18 @@ func (e *Engine) publish(t *dvm.Thread, ts *tstate) bool {
 // result of synchronization operations").
 func (e *Engine) publishAndRefresh(t *dvm.Thread, ts *tstate) {
 	e.publish(t, ts)
-	ts.mem.Refresh()
+	if ts.view != nil {
+		ts.view.Update()
+	}
+}
+
+// countPublish records one publication, eager or staged, and the size of the
+// dirty set it publishes.
+func (e *Engine) countPublish(v *vheap.View) {
+	if e.tel != nil {
+		e.tel.Count("mempipe.publishes", 1)
+		e.tel.Observe("mempipe.publish_dirty_words", int64(v.DirtyWords()))
+	}
 }
 
 // blockedWake waits for a Wake, charging blocked time.

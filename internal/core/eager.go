@@ -12,13 +12,12 @@ import (
 // shared by Consequence, TotalOrder-Weak and TotalOrder-Weak-Nondet, and
 // used by LazyDet for its non-speculative ("conventional") path. Every
 // operation waits for the deterministic turn, then publishes and refreshes
-// the thread's memory window through the shared pipeline (internal/mempipe)
-// — in strong mode that commits the thread's dirty pages and re-bases its
-// view, which is what makes writes visible "only as a result of
-// synchronization operations" (paper §2); on flat memory both halves are
-// no-ops and the pipeline's sequence number is constant 0, so the
-// lock-table sequence updates below are inert. One choreography, every
-// engine.
+// the thread's memory — in strong mode that commits the thread's dirty pages
+// and re-bases its view, which is what makes writes visible "only as a
+// result of synchronization operations" (paper §2); on flat memory the
+// thread has no view, both halves are no-ops and the commit sequence is
+// constant 0, so the lock-table sequence updates below are inert. One
+// choreography, every engine.
 
 // Lock implements dvm.Engine. With speculation enabled it dispatches to the
 // lazy path in spec.go; otherwise it acquires conventionally.
@@ -64,7 +63,7 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
 				// under the paper's G_l discipline; in write-aware
 				// mode only the release of a writing critical section
 				// does.
-				st.LastCommitSeq = e.pipe.Seq()
+				st.LastCommitSeq = e.seq()
 			}
 			st.Acquires++
 			ts.depth++
@@ -105,7 +104,7 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64) {
 	if !e.cfg.Spec.WriteAware || ts.takeWrote(l) {
 		// The critical section's writes became visible with this
 		// commit; speculation runs based on older heap states conflict.
-		st.LastCommitSeq = e.pipe.Seq()
+		st.LastCommitSeq = e.seq()
 	}
 	ts.depth--
 	ts.dropHeldConv(l)
@@ -146,7 +145,7 @@ func (e *Engine) CondWait(t *dvm.Thread, cv, l int64) {
 	st.Owner = 0
 	st.ReleaseDLC = my
 	if !e.cfg.Spec.WriteAware || ts.takeWrote(l) {
-		st.LastCommitSeq = e.pipe.Seq()
+		st.LastCommitSeq = e.seq()
 	}
 	ts.depth--
 	ts.dropHeldConv(l)
@@ -228,13 +227,15 @@ func (e *Engine) BarrierWait(t *dvm.Thread, bid int64) {
 	if len(b.Waiting)+1 == e.tbl.NThreads {
 		// Record the state every released thread adopts: the commits of
 		// all arrivals, published by their turns.
-		b.ReleaseSeq = e.pipe.Seq()
+		b.ReleaseSeq = e.seq()
 		for k, w := range b.Waiting {
 			e.arb.Unpark(w, my+1+int64(k))
 			e.tbl.Wake(w)
 		}
 		b.Waiting = b.Waiting[:0]
-		ts.mem.Refresh()
+		if ts.view != nil {
+			ts.view.Update()
+		}
 		e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
 		return
 	}
@@ -243,7 +244,9 @@ func (e *Engine) BarrierWait(t *dvm.Thread, bid int64) {
 	e.blockedWake(t)
 	// Re-base on exactly the releasing turn's state, not on whatever has
 	// been committed by the wall-clock moment we woke.
-	ts.mem.RefreshTo(b.ReleaseSeq)
+	if ts.view != nil {
+		ts.view.UpdateTo(b.ReleaseSeq)
+	}
 }
 
 // Syscall implements dvm.Engine. Outside speculation the call runs
@@ -257,10 +260,9 @@ func (e *Engine) Syscall(t *dvm.Thread, s *dvm.Syscall) {
 		if !e.enterIrrevocable(t, ts) {
 			return // run reverted; the syscall re-executes after restart
 		}
-		if !ts.spec {
-			// The run terminated (committed) instead of upgrading;
-			// fall through to a conventional call.
-		}
+		// Otherwise the run is irrevocable now, or it terminated
+		// (committed) instead of upgrading and the call runs
+		// conventionally.
 	}
 	e.rec.Sync(t.ID, trace.OpSyscall, int64(s.Work), e.arb.DLC(t.ID))
 	dvm.Burn(s.Work)

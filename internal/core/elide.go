@@ -130,7 +130,7 @@ func (e *Engine) resolveElide(ts *tstate, at int) {
 	if !ts.elidePending {
 		return
 	}
-	flushed := ts.mem.StageFlushed()
+	flushed := ts.view.StageFlushed()
 	if at == elideAtRefresh && !flushed {
 		return
 	}
@@ -139,12 +139,12 @@ func (e *Engine) resolveElide(ts *tstate, at int) {
 	st := &e.tbl.Locks[ts.elideLock]
 	st.ElideHist = detsync.PushOutcome(st.ElideHist, hit)
 	e.elideGlobal = detsync.PushOutcome(e.elideGlobal, hit)
-	if flushed && !ts.mem.Unpublished() {
+	if flushed && !ts.view.Unpublished() {
 		// A flush already applied the deferred state and nothing was
 		// written since, so the retained dirty set is fully published:
 		// drop it now rather than re-staging or re-committing long-silent
 		// frames on every later publication.
-		ts.mem.DropClean()
+		ts.view.DropClean()
 		ts.elideChain = 0
 	}
 }
@@ -167,7 +167,7 @@ func (e *Engine) resolveVirtual(ts *tstate, at int) {
 		return
 	}
 	ts.virtPending = false
-	hit := at == elideAtChain && e.pipe.Seq() == ts.virtSeq
+	hit := at == elideAtChain && e.heap.Seq() == ts.virtSeq
 	st := &e.tbl.Locks[ts.virtLock]
 	st.ElideHist = detsync.PushOutcome(st.ElideHist, hit)
 	e.elideGlobal = detsync.PushOutcome(e.elideGlobal, hit)
@@ -180,13 +180,15 @@ func (e *Engine) resolveVirtual(ts *tstate, at int) {
 // the turn.
 func (e *Engine) elidePublish(t *dvm.Thread, ts *tstate, l int64) {
 	defer phaseBegin(phaseCommit)()
-	if e.audit != nil && ts.mem.Dirty() {
-		e.audit.AtPublish(t.ID, ts.mem)
+	v := ts.view
+	if e.audit != nil && v.DirtyPages() != 0 {
+		e.audit.AtPublish(t.ID, v)
 	}
-	seq, staged := ts.mem.StagePublish()
+	seq, staged := v.StagePublish()
 	if !staged {
 		return
 	}
+	e.countPublish(v)
 	my := e.arb.DLC(t.ID)
 	e.rec.Commit(t.ID, my, seq)
 	if e.tel != nil {
@@ -195,7 +197,7 @@ func (e *Engine) elidePublish(t *dvm.Thread, ts *tstate, l int64) {
 	}
 	if e.audit != nil {
 		e.audit.AtCommit(t.ID, seq)
-		e.audit.AtDeferred(t.ID, ts.mem)
+		e.audit.AtDeferred(t.ID, v)
 	}
 	ts.elidePending = true
 	ts.elideLock = l
@@ -211,7 +213,7 @@ func (e *Engine) elidePublish(t *dvm.Thread, ts *tstate, l int64) {
 // starts a cost-free virtual probe in its place. Either way the view ends
 // re-based on the state the release must observe. Caller holds the turn.
 func (e *Engine) releasePublish(t *dvm.Thread, ts *tstate, l int64) {
-	chained := ts.elidePending && !ts.mem.StageFlushed() &&
+	chained := ts.elidePending && !ts.view.StageFlushed() &&
 		ts.elideChain < e.cfg.ElideChainLimit
 	e.resolveElide(ts, elideAtChain)
 	e.resolveVirtual(ts, elideAtChain)
@@ -223,7 +225,7 @@ func (e *Engine) releasePublish(t *dvm.Thread, ts *tstate, l int64) {
 	if e.elisionOn() {
 		ts.virtPending = true
 		ts.virtLock = l
-		ts.virtSeq = e.pipe.Seq()
+		ts.virtSeq = e.heap.Seq()
 	}
 }
 
@@ -242,7 +244,7 @@ func (e *Engine) publishRefreshLazy(t *dvm.Thread, ts *tstate) {
 	if e.publish(t, ts) {
 		ts.elideChain = 0
 	}
-	ts.mem.RefreshDirty()
+	ts.view.RefreshDirty()
 }
 
 // forcePublish makes every deferred publication real at a cross-thread
@@ -262,8 +264,8 @@ func (e *Engine) forcePublish(t *dvm.Thread, ts *tstate) {
 	e.resolveElide(ts, elideAtSettle)
 	e.resolveVirtual(ts, elideAtSettle)
 	e.publish(t, ts)
-	ts.mem.SettleDeferred()
-	ts.mem.DropClean()
+	ts.view.SettleDeferred()
+	ts.view.DropClean()
 	ts.elideChain = 0
 }
 
@@ -272,5 +274,7 @@ func (e *Engine) forcePublish(t *dvm.Thread, ts *tstate) {
 // (condvar signals, spawns, joins, eager atomics). Caller holds the turn.
 func (e *Engine) forcePublishRefresh(t *dvm.Thread, ts *tstate) {
 	e.forcePublish(t, ts)
-	ts.mem.Refresh()
+	if ts.view != nil {
+		ts.view.Update()
+	}
 }

@@ -26,7 +26,9 @@ import (
 // happens-before edge, pinned to the spawn turn's sequence so the resume is
 // deterministic.
 func (e *Engine) ThreadResume(t *dvm.Thread) {
-	e.ts(t).mem.RefreshTo(e.tbl.SpawnSeq[t.ID])
+	if v := e.ts(t).view; v != nil {
+		v.UpdateTo(e.tbl.SpawnSeq[t.ID])
+	}
 }
 
 // Spawn implements dvm.Engine.
@@ -44,7 +46,7 @@ func (e *Engine) Spawn(t *dvm.Thread, target int) {
 	// deferred publications settle here (the child's pinned RefreshTo flush
 	// is then a deterministic no-op).
 	e.forcePublishRefresh(t, ts)
-	e.tbl.SpawnSeq[target] = e.pipe.Seq()
+	e.tbl.SpawnSeq[target] = e.seq()
 	my := e.arb.DLC(t.ID)
 	e.arb.Unpark(target, my+1)
 	t.Group().StartThread(target)

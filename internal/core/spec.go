@@ -67,10 +67,10 @@ func (e *Engine) beginRun(t *dvm.Thread, ts *tstate) {
 	}
 	ts.snapScratch = t.SnapshotInto(ts.snapScratch)
 	ts.snap = ts.snapScratch
-	ts.dirtyScratch = ts.mem.SnapshotDirtyInto(ts.dirtyScratch)
+	ts.dirtyScratch = ts.view.SnapshotDirtyInto(ts.dirtyScratch)
 	ts.dirtySnap = ts.dirtyScratch
 	ts.begin = e.arb.DLC(t.ID)
-	ts.baseAtBegin = ts.mem.BaseSeq()
+	ts.baseAtBegin = ts.view.BaseSeq()
 	ts.spec = true
 	ts.runCS = 0
 }
@@ -278,7 +278,7 @@ func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
 		e.publishRefreshLazy(t, ts)
 	}
 	my := e.arb.DLC(t.ID)
-	seq := e.pipe.Seq()
+	seq := e.heap.Seq()
 	for i := range ts.logLocks {
 		ent := &ts.logLocks[i]
 		st := &e.tbl.Locks[ent.lock]
@@ -329,16 +329,16 @@ func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
 //lazydet:nondeterministic the wall clock only measures the revert's cost for stats.Spec; the value never influences control flow
 func (e *Engine) revertLocked(t *dvm.Thread, ts *tstate) {
 	start := time.Now()
-	discarded := ts.mem.RevertTo(ts.dirtySnap)
+	discarded := ts.view.RevertTo(ts.dirtySnap)
 	t.Restore(ts.snap)
 	cost := time.Since(start).Nanoseconds()
 	if e.audit != nil {
 		// The thread must be exactly its BEGIN snapshot again, and the
 		// dirty set exactly the pre-run dirty set.
-		e.audit.AtRevert(t, ts.snap, ts.mem.DirtyWords(), ts.dirtySnap.Words())
+		e.audit.AtRevert(t, ts.snap, ts.view.DirtyWords(), ts.dirtySnap.Words())
 		// The pre-run dirty set includes any deferred (staged, un-published)
 		// state; the restore must have preserved it word for word.
-		e.audit.AtDeferred(t.ID, ts.mem)
+		e.audit.AtDeferred(t.ID, ts.view)
 	}
 	e.recordOutcome(ts, false)
 	if e.spec != nil {
@@ -441,7 +441,7 @@ func (e *Engine) enterIrrevocable(t *dvm.Thread, ts *tstate) bool {
 		// not mistaken for a cross-thread miss.
 		e.resolveElide(ts, elideAtSettle)
 		e.resolveVirtual(ts, elideAtSettle)
-		ts.mem.SettleDeferred()
+		ts.view.SettleDeferred()
 		if e.spec != nil {
 			e.spec.Upgrades.Add(1)
 		}

@@ -75,7 +75,6 @@ func DefaultDirs(root string) []string {
 		"internal/detsync",
 		"internal/core",
 		"internal/vheap",
-		"internal/mempipe",
 		"internal/shmem",
 		"internal/invariant",
 		"internal/trace",

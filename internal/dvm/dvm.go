@@ -223,7 +223,8 @@ type Program struct {
 // hook in between. The engine installs it in ThreadStart (Thread.Mem) and
 // drives its publication lifecycle — commit, refresh, revert — from the
 // synchronization hooks; the window itself only needs to answer reads and
-// accept writes. internal/mempipe provides the implementations.
+// accept writes. The implementations are a strong-mode thread's
+// *vheap.View and the weak engines' shared *shmem.Mem.
 type MemWindow interface {
 	// Load reads a shared-heap word through the window.
 	Load(addr int64) int64

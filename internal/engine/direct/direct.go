@@ -9,15 +9,13 @@ import (
 	"time"
 
 	"lazydet/internal/dvm"
-	"lazydet/internal/mempipe"
 	"lazydet/internal/shmem"
 	"lazydet/internal/stats"
 )
 
 // Engine is the pthreads-equivalent runtime.
 type Engine struct {
-	mem      *shmem.Mem // kept for hardware atomics
-	pipe     mempipe.Pipeline
+	mem      *shmem.Mem
 	locks    []sync.RWMutex
 	conds    []cond
 	barriers []barrier
@@ -45,7 +43,6 @@ type barrier struct {
 func New(mem *shmem.Mem, nthreads, nlocks, nconds, nbarriers int) *Engine {
 	e := &Engine{
 		mem:      mem,
-		pipe:     mempipe.NewFlat(mem),
 		locks:    make([]sync.RWMutex, nlocks),
 		conds:    make([]cond, nconds),
 		barriers: make([]barrier, nbarriers),
@@ -63,10 +60,9 @@ func (e *Engine) Name() string { return "pthreads" }
 // guarantee.
 func (e *Engine) Deterministic() bool { return false }
 
-// ThreadStart implements dvm.Engine: install the thread's flat memory
-// window. The baseline shares the same pipeline layer as the deterministic
-// engines; its windows just write straight through.
-func (e *Engine) ThreadStart(t *dvm.Thread) { t.Mem = e.pipe.NewThread(t.ID) }
+// ThreadStart implements dvm.Engine: every thread loads and stores the
+// shared memory directly.
+func (e *Engine) ThreadStart(t *dvm.Thread) { t.Mem = e.mem }
 
 // ThreadExit implements dvm.Engine.
 func (e *Engine) ThreadExit(*dvm.Thread) bool { return true }

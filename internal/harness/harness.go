@@ -120,8 +120,8 @@ type Options struct {
 	// differential oracle for sharding.
 	HeapShards int
 	// Telemetry enables the unified metrics registry
-	// (internal/telemetry): the engine, versioned heap and memory pipeline
-	// publish counters and histograms into one recorder, available as
+	// (internal/telemetry): the engine and the versioned heap publish
+	// counters and histograms into one recorder, available as
 	// Result.Telemetry after the run and convertible to a run report with
 	// BuildReport. Off by default; when off the publishers pay one nil
 	// compare each.

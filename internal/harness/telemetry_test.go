@@ -5,8 +5,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"lazydet/internal/dvm"
 	"lazydet/internal/harness"
 	"lazydet/internal/telemetry"
 	"lazydet/internal/workloads"
@@ -136,5 +138,61 @@ func TestTelemetryDisabledByDefault(t *testing.T) {
 	}
 	if res.Telemetry != nil {
 		t.Fatal("telemetry recorded without being enabled")
+	}
+}
+
+// TestPublicationTelemetryByEngine: only versioned memory publishes. The
+// weak engine runs on flat memory, which is one shard and never publishes;
+// the pthreads baseline records no publication metrics at all; and a
+// Consequence run whose critical sections only read commits nothing.
+func TestPublicationTelemetryByEngine(t *testing.T) {
+	ht := workloads.NewHashTable(workloads.DefaultHTConfig(workloads.HT))
+	readOnly := &harness.Workload{
+		Name: "readonly", HeapWords: 64, Locks: 1,
+		Programs: func(threads int) []*dvm.Program {
+			progs := make([]*dvm.Program, threads)
+			for i := range progs {
+				b := dvm.NewBuilder("reader")
+				r := b.Reg()
+				b.ForN(b.Reg(), 8, func() {
+					b.Lock(dvm.Const(0))
+					b.Load(r, dvm.Const(int64(i)))
+					b.Unlock(dvm.Const(0))
+				})
+				progs[i] = b.Build()
+			}
+			return progs
+		},
+	}
+	metrics := func(w *harness.Workload, eng harness.EngineKind) map[string]float64 {
+		t.Helper()
+		res, err := harness.Run(w, harness.Options{Engine: eng, Threads: 2, Telemetry: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return harness.BuildReport(res).Metrics
+	}
+
+	weak := metrics(ht, harness.TotalOrderWeak)
+	if got, ok := weak["mempipe.shards"]; !ok || got != 1 {
+		t.Errorf("TotalOrder-Weak mempipe.shards = %v (recorded %v), want 1", got, ok)
+	}
+	if got, ok := weak["mempipe.publishes"]; ok {
+		t.Errorf("TotalOrder-Weak recorded mempipe.publishes = %v on flat memory", got)
+	}
+	for name := range metrics(ht, harness.Pthreads) {
+		if strings.HasPrefix(name, "mempipe.") {
+			t.Errorf("pthreads recorded %s", name)
+		}
+	}
+	cons := metrics(readOnly, harness.Consequence)
+	if got := cons["vheap.commits"]; got != 0 {
+		t.Errorf("read-only Consequence run committed %v times, want 0", got)
+	}
+	if got, ok := cons["mempipe.publishes"]; ok {
+		t.Errorf("read-only Consequence run recorded mempipe.publishes = %v", got)
+	}
+	if got := cons["turn.waits"]; got == 0 {
+		t.Error("read-only Consequence run waited for no turn")
 	}
 }

@@ -210,7 +210,7 @@ func (c *Checker) auditLocks(tid int) {
 
 // DirtyAuditor is the slice of a thread's memory window the checker needs
 // at a publication: a self-check of the window's dirty-word tracking.
-// vheap.View implements it; flat windows report nil (nothing is tracked).
+// vheap.View implements it; flat memory tracks nothing and is never audited.
 type DirtyAuditor interface {
 	// AuditDirty returns a descriptive error if any word differing from
 	// its twin is missing from the dirty bitmap (see vheap.View.AuditDirty).
@@ -243,7 +243,8 @@ func (c *Checker) AtPublish(tid int, m DirtyAuditor) {
 
 // DeferredAuditor is the slice of a thread's memory window the checker
 // needs at an elision point: a self-check of the window's deferred
-// publication. mempipe windows implement it; flat windows report nil.
+// publication. vheap.View implements it; flat memory never defers
+// publication and is never audited.
 type DeferredAuditor interface {
 	// AuditDeferred returns a descriptive error if the window's retained
 	// frames no longer serve the values of its staged publication (see

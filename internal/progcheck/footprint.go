@@ -281,10 +281,10 @@ func commutes(a, b *fpRecord) bool {
 type overlapKind uint8
 
 const (
-	overlapNone overlapKind = iota
-	overlapMay                 // class-level may-alias with a write: demote
-	overlapCommute             // provable overlap, but the pair commutes
-	overlapConflict            // provable non-commuting overlap
+	overlapNone     overlapKind = iota
+	overlapMay                  // class-level may-alias with a write: demote
+	overlapCommute              // provable overlap, but the pair commutes
+	overlapConflict             // provable non-commuting overlap
 )
 
 func classifyPair(a, b *fpRecord) overlapKind {

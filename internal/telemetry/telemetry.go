@@ -1,6 +1,6 @@
 // Package telemetry is the unified metrics registry of the runtime: the one
-// place the engines (internal/core), the versioned heap (internal/vheap),
-// the memory pipeline (internal/mempipe) and the harness publish their
+// place the engines (internal/core, including their publication counters),
+// the versioned heap (internal/vheap) and the harness publish their
 // measurements into, and the one place run reports, CI perf gates and
 // Chrome-trace timelines are built from.
 //
