@@ -192,7 +192,7 @@ func (e *Engine) elidePublish(t *dvm.Thread, ts *tstate, l int64) {
 	my := e.arb.DLC(t.ID)
 	e.rec.Commit(t.ID, my, seq)
 	if e.tel != nil {
-		e.tel.Count("commit.elided", 1)
+		e.m.elided.Add(1)
 		e.tel.Span(t.ID, telemetry.SpanCommit, my, my, seq)
 	}
 	if e.audit != nil {

@@ -347,8 +347,8 @@ func (e *Engine) revertLocked(t *dvm.Thread, ts *tstate) {
 	}
 	if e.tel != nil {
 		my := e.arb.DLC(t.ID)
-		e.tel.Count("spec.reverted_words", int64(discarded))
-		e.tel.Observe("spec.revert_words", int64(discarded))
+		e.m.revertedWords.Add(int64(discarded))
+		e.m.revertWords.Observe(int64(discarded))
 		e.tel.Span(t.ID, telemetry.SpanSpec, ts.begin, my, int64(ts.runCS))
 		e.tel.Span(t.ID, telemetry.SpanRevert, my, my, int64(discarded))
 	}

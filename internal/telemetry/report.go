@@ -172,18 +172,36 @@ type Delta struct {
 	Old    float64
 	New    float64
 	Pct    float64 // percent change relative to Old (Inf when Old == 0)
+	// Presence is Dropped or Added when the metric exists in only one of
+	// the two reports (Old or New is then zero and Pct unset), empty when
+	// it exists in both.
+	Presence string
 }
 
+// Delta.Presence values.
+const (
+	Dropped = "dropped" // in the baseline, missing from the current report
+	Added   = "added"   // in the current report, missing from the baseline
+)
+
 func (d Delta) String() string {
+	switch d.Presence {
+	case Dropped:
+		return fmt.Sprintf("%-28s %-24s %14.6g -> (dropped)", d.Run, d.Metric, d.Old)
+	case Added:
+		return fmt.Sprintf("%-28s %-24s %14s -> %-14.6g (added)", d.Run, d.Metric, "(absent)", d.New)
+	}
 	return fmt.Sprintf("%-28s %-24s %14.6g -> %-14.6g (%+.1f%%)", d.Run, d.Metric, d.Old, d.New, d.Pct)
 }
 
 // Comparison is the diff of two suite reports.
 type Comparison struct {
-	// Regressions are gated metrics past the gate threshold: the gate fails.
+	// Regressions are gated metrics past the gate threshold, or dropped
+	// from the current report: the gate fails.
 	Regressions []Delta
 	// Changes are deterministic metrics that moved without tripping the
-	// gate (including improvements and non-gated metrics).
+	// gate (including improvements and non-gated metrics), metrics added
+	// or dropped without tripping it, and histogram differences.
 	Changes []Delta
 	// TimingNotes are machine-dependent metric movements, informational.
 	TimingNotes []Delta
@@ -284,19 +302,33 @@ func Compare(baseline, current *SuiteReport, gatePct float64) *Comparison {
 	return c
 }
 
-// compareRun diffs one matched run pair into c.
+// compareRun diffs one matched run pair into c. Every metric name of either
+// report is compared: a gated metric the current report lost is a
+// regression (lost coverage hides a behavioral change as surely as a lost
+// run does); any other name present on one side only is a change.
 func compareRun(c *Comparison, b, n *RunReport, gatePct float64) {
-	for _, name := range sortedKeys(b.Metrics) {
-		old := b.Metrics[name]
-		nv, ok := n.Metrics[name]
-		if !ok {
-			continue // metric dropped; schema drift, not a perf signal
-		}
-		if old == nv {
+	for _, name := range unionKeys(b.Metrics, n.Metrics) {
+		old, inOld := b.Metrics[name]
+		nv, inNew := n.Metrics[name]
+		d := Delta{Run: b.Key(), Metric: name, Old: old, New: nv}
+		gated, higherWorse := GatedMetric(name)
+		switch {
+		case !inNew:
+			d.Presence = Dropped
+			if gated && gatePct > 0 {
+				c.Regressions = append(c.Regressions, d)
+			} else {
+				c.Changes = append(c.Changes, d)
+			}
+			continue
+		case !inOld:
+			d.Presence = Added
+			c.Changes = append(c.Changes, d)
+			continue
+		case old == nv:
 			continue
 		}
-		d := Delta{Run: b.Key(), Metric: name, Old: old, New: nv, Pct: pctChange(old, nv)}
-		gated, higherWorse := GatedMetric(name)
+		d.Pct = pctChange(old, nv)
 		worse := d.Pct > 0 == higherWorse // movement in the bad direction
 		if gated && gatePct > 0 && worse && math.Abs(d.Pct) > gatePct {
 			c.Regressions = append(c.Regressions, d)
@@ -304,6 +336,7 @@ func compareRun(c *Comparison, b, n *RunReport, gatePct float64) {
 			c.Changes = append(c.Changes, d)
 		}
 	}
+	compareHistograms(c, b, n)
 	for _, name := range sortedKeys(b.Timing) {
 		old := b.Timing[name]
 		nv, ok := n.Timing[name]
@@ -315,6 +348,51 @@ func compareRun(c *Comparison, b, n *RunReport, gatePct float64) {
 			c.TimingNotes = append(c.TimingNotes, d)
 		}
 	}
+}
+
+// compareHistograms lists every histogram difference of a matched run pair
+// as a change: a histogram on one side only, or a differing sample count
+// ("name[n]"), sum ("name[sum]") or bucket count ("name[bucket LOW]").
+// Histograms are deterministic but not gated.
+func compareHistograms(c *Comparison, b, n *RunReport) {
+	for _, name := range unionKeys(b.Histograms, n.Histograms) {
+		hb, inOld := b.Histograms[name]
+		hn, inNew := n.Histograms[name]
+		diff := func(field string, old, nv int64) {
+			if old != nv {
+				c.Changes = append(c.Changes, Delta{Run: b.Key(), Metric: name + "[" + field + "]",
+					Old: float64(old), New: float64(nv), Pct: pctChange(float64(old), float64(nv))})
+			}
+		}
+		switch {
+		case !inNew:
+			c.Changes = append(c.Changes, Delta{Run: b.Key(), Metric: name, Old: float64(hb.N), Presence: Dropped})
+			continue
+		case !inOld:
+			c.Changes = append(c.Changes, Delta{Run: b.Key(), Metric: name, New: float64(hn.N), Presence: Added})
+			continue
+		}
+		diff("n", hb.N, hn.N)
+		diff("sum", hb.Sum, hn.Sum)
+		for _, k := range unionKeys(hb.Buckets, hn.Buckets) {
+			diff("bucket "+k, hb.Buckets[k], hn.Buckets[k])
+		}
+	}
+}
+
+// unionKeys returns the keys in either map, sorted.
+func unionKeys[V any](a, b map[string]V) []string {
+	keys := make([]string, 0, len(a)+len(b))
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, dup := a[k]; !dup {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func sortedKeys(m map[string]float64) []string {

@@ -281,3 +281,91 @@ func TestDropPrefix(t *testing.T) {
 		t.Fatalf("empty prefix matches everything, kept %d runs", len(got.Runs))
 	}
 }
+
+// TestCompareNamesAndHistograms: the gate sees every name on either side
+// and every histogram field. A gated metric the current report dropped is
+// a regression; other dropped or added names and histogram differences are
+// changes, so a report that lost a metric never prints "no deterministic
+// metric changed".
+func TestCompareNamesAndHistograms(t *testing.T) {
+	cases := []struct {
+		name        string
+		edit        func(r *RunReport)
+		gate        float64
+		regressions []string // Metric of each regression, in order
+		changes     []string // Metric of each change, in order
+		presence    string   // Presence of the single regression or change
+	}{
+		{name: "gated metric dropped",
+			edit: func(r *RunReport) { delete(r.Metrics, "dlc.total") },
+			gate: 25, regressions: []string{"dlc.total"}, presence: Dropped},
+		{name: "gated metric dropped, gate off",
+			edit: func(r *RunReport) { delete(r.Metrics, "dlc.total") },
+			gate: 0, changes: []string{"dlc.total"}, presence: Dropped},
+		{name: "ungated metric dropped",
+			edit: func(r *RunReport) { delete(r.Metrics, "ungated.metric") },
+			gate: 25, changes: []string{"ungated.metric"}, presence: Dropped},
+		{name: "gated metric added",
+			edit: func(r *RunReport) { r.Metrics["vheap.commits"] = 9 },
+			gate: 25, changes: []string{"vheap.commits"}, presence: Added},
+		{name: "histogram dropped",
+			edit: func(r *RunReport) { r.Histograms = nil },
+			gate: 25, changes: []string{"vheap.commit_words"}, presence: Dropped},
+		{name: "histogram added",
+			edit: func(r *RunReport) {
+				r.Histograms["spec.revert_words"] = HistSnapshot{N: 1, Sum: 2, Buckets: map[string]int64{"2": 1}}
+			},
+			gate: 25, changes: []string{"spec.revert_words"}, presence: Added},
+		{name: "histogram n, sum and buckets moved",
+			edit: func(r *RunReport) {
+				r.Histograms["vheap.commit_words"] = HistSnapshot{N: 4, Sum: 13, Buckets: map[string]int64{"1": 1, "4": 3}}
+			},
+			gate: 25, changes: []string{"vheap.commit_words[n]", "vheap.commit_words[sum]", "vheap.commit_words[bucket 1]"}},
+		{name: "histogram bucket moved alone",
+			edit: func(r *RunReport) {
+				r.Histograms["vheap.commit_words"] = HistSnapshot{N: 3, Sum: 12, Buckets: map[string]int64{"2": 1, "4": 2}}
+			},
+			gate: 25, changes: []string{"vheap.commit_words[bucket 2]", "vheap.commit_words[bucket 4]"}},
+		{name: "unchanged",
+			edit: func(r *RunReport) {},
+			gate: 25},
+	}
+	metrics := func(ds []Delta) []string {
+		var out []string
+		for _, d := range ds {
+			out = append(out, d.Metric)
+		}
+		return out
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base, cur := sampleReport(), sampleReport()
+			tc.edit(&cur.Runs[0])
+			c := Compare(base, cur, tc.gate)
+			if got := metrics(c.Regressions); strings.Join(got, ",") != strings.Join(tc.regressions, ",") {
+				t.Fatalf("regressions = %v, want %v", got, tc.regressions)
+			}
+			if got := metrics(c.Changes); strings.Join(got, ",") != strings.Join(tc.changes, ",") {
+				t.Fatalf("changes = %v, want %v", got, tc.changes)
+			}
+			if c.Ok() != (len(tc.regressions) == 0) {
+				t.Fatalf("Ok() = %v with regressions %v", c.Ok(), c.Regressions)
+			}
+			if tc.presence != "" {
+				all := append(c.Regressions, c.Changes...)
+				if len(all) != 1 || all[0].Presence != tc.presence {
+					t.Fatalf("presence = %+v, want one delta %q", all, tc.presence)
+				}
+				if !strings.Contains(all[0].String(), "("+tc.presence+")") {
+					t.Fatalf("delta string %q does not say %q", all[0], tc.presence)
+				}
+			}
+			var buf bytes.Buffer
+			c.Format(&buf)
+			quiet := strings.Contains(buf.String(), "no deterministic metric changed")
+			if quiet != (len(tc.regressions)+len(tc.changes) == 0) {
+				t.Fatalf("format output %q for regressions %v, changes %v", buf.String(), tc.regressions, tc.changes)
+			}
+		})
+	}
+}

@@ -194,3 +194,137 @@ func TestChromeTraceDeterministic(t *testing.T) {
 		t.Fatal("negative span duration not clamped to 0")
 	}
 }
+
+// TestAttachedCountersConcurrent: a registered counter and histogram take
+// adds from many goroutines with no recorder lock (run under -race), and a
+// recorder reads the exact totals while and after they land.
+func TestAttachedCountersConcurrent(t *testing.T) {
+	r := New()
+	var c Counter
+	var h Histogram
+	r.AttachCounter("n", &c)
+	r.AttachHistogram("h", &h)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				c.Add(1)
+				h.Observe(int64(i))
+				if i%100 == 0 {
+					r.Snapshot() // concurrent reads are safe mid-run
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.Counter("n"); got != 8000 || c.Load() != 8000 {
+		t.Fatalf("counter n = %d (Load %d), want 8000", got, c.Load())
+	}
+	hs := r.Snapshot().Histograms["h"]
+	if hs.N != 8000 || hs.Sum != 8*999*1000/2 {
+		t.Fatalf("histogram n=%d sum=%d, want 8000/%d", hs.N, hs.Sum, 8*999*1000/2)
+	}
+	var inBuckets int64
+	for _, v := range hs.Buckets {
+		inBuckets += v
+	}
+	if inBuckets != 8000 {
+		t.Fatalf("bucket counts sum to %d, want 8000", inBuckets)
+	}
+}
+
+// TestAttachedPresence: an attached counter reports iff it was ever added
+// to — a zero (or negative) delta included, exactly like Count — and an
+// attached histogram iff it holds a sample.
+func TestAttachedPresence(t *testing.T) {
+	r := New()
+	var never, zero, back Counter
+	var empty, one Histogram
+	r.AttachCounter("never", &never)
+	r.AttachCounter("zero", &zero)
+	r.AttachCounter("back", &back)
+	r.AttachHistogram("empty", &empty)
+	r.AttachHistogram("one", &one)
+	r.Count("named_zero", 0)
+	zero.Add(0)
+	back.Add(3)
+	back.Add(-3)
+	one.Observe(0)
+
+	s := r.Snapshot()
+	for _, name := range []string{"zero", "back", "named_zero"} {
+		if v, ok := s.Counters[name]; !ok || v != 0 {
+			t.Errorf("counter %s = %d, present %v; want 0, present", name, v, ok)
+		}
+	}
+	if _, ok := s.Counters["never"]; ok {
+		t.Error("a never-added counter is in the snapshot")
+	}
+	if names := r.CounterNames(); strings.Join(names, ",") != "back,named_zero,zero" {
+		t.Errorf("counter names = %v, want [back named_zero zero]", names)
+	}
+	if _, ok := s.Histograms["empty"]; ok {
+		t.Error("an empty histogram is in the snapshot")
+	}
+	if hs, ok := s.Histograms["one"]; !ok || hs.N != 1 || hs.Buckets["0"] != 1 {
+		t.Errorf("histogram one = %+v, present %v", hs, ok)
+	}
+}
+
+// TestAttachedSourcesSum: every source of a name — objects attached under
+// it and the recorder's own name-keyed entry — reports as one summed
+// metric, bucket by bucket for histograms.
+func TestAttachedSourcesSum(t *testing.T) {
+	r := New()
+	var a, b Counter
+	var ha, hb Histogram
+	r.AttachCounter("n", &a)
+	r.AttachCounter("n", &b)
+	r.AttachHistogram("h", &ha)
+	r.AttachHistogram("h", &hb)
+	a.Add(2)
+	b.Add(5)
+	r.Count("n", 10)
+	ha.Observe(1)
+	hb.Observe(1)
+	hb.Observe(8)
+	r.Observe("h", 3)
+
+	if got := r.Counter("n"); got != 17 {
+		t.Fatalf("Counter(n) = %d, want 17", got)
+	}
+	s := r.Snapshot()
+	if s.Counters["n"] != 17 {
+		t.Fatalf("snapshot n = %d, want 17", s.Counters["n"])
+	}
+	if names := r.CounterNames(); len(names) != 1 || names[0] != "n" {
+		t.Fatalf("counter names = %v, want [n]", names)
+	}
+	hs := s.Histograms["h"]
+	want := map[string]int64{"1": 2, "2": 1, "8": 1}
+	if hs.N != 4 || hs.Sum != 13 || len(hs.Buckets) != len(want) {
+		t.Fatalf("histogram h = %+v, want n=4 sum=13 buckets %v", hs, want)
+	}
+	for k, v := range want {
+		if hs.Buckets[k] != v {
+			t.Fatalf("bucket %s = %d, want %d", k, hs.Buckets[k], v)
+		}
+	}
+}
+
+// TestAttachToNilRecorder: attaching to the disabled recorder is a no-op,
+// and the owned objects still count for their owner.
+func TestAttachToNilRecorder(t *testing.T) {
+	var r *Recorder
+	var c Counter
+	var h Histogram
+	r.AttachCounter("n", &c)
+	r.AttachHistogram("h", &h)
+	c.Add(4)
+	h.Observe(4)
+	if c.Load() != 4 || r.Counter("n") != 0 || len(r.Snapshot().Counters) != 0 {
+		t.Fatal("nil recorder read an attached counter")
+	}
+}
