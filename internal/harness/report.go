@@ -14,9 +14,10 @@ import (
 
 // absorbStats publishes the per-run stats collectors into the telemetry
 // registry after the run, so the registry is the single reporting surface.
-// The heap and pipeline publish their counters live (via vheap.WithTelemetry
-// and the engine's Deps.Tel); only the collectors the engines still own are
-// folded in here.
+// The heap and the engine attach their per-event counters to the registry
+// when they are built (vheap.WithTelemetry, the engine's Deps.Tel), and the
+// registry reads those at snapshot; only the collectors that still live
+// outside it are folded in here, once, at run end.
 func absorbStats(tel *telemetry.Recorder, res *Result) {
 	if s := res.Spec; s != nil {
 		tel.Count("spec.total_acquires", s.TotalAcquires.Load())
