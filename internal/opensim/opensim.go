@@ -274,9 +274,13 @@ func (r *Result) publish(tel *telemetry.Recorder) {
 		return
 	}
 	tel.Count("sim.requests", int64(len(r.Requests)))
+	// One sample per request: fill a registered histogram and attach it
+	// once, rather than taking the recorder's lock per request.
+	lat := &telemetry.Histogram{}
 	for _, q := range r.Requests {
-		tel.Observe("sim.latency_dlc", q.Latency())
+		lat.Observe(q.Latency())
 	}
+	tel.AttachHistogram("sim.latency_dlc", lat)
 	tel.SetGauge("sim.latency_p50", float64(r.LatP50))
 	tel.SetGauge("sim.latency_p95", float64(r.LatP95))
 	tel.SetGauge("sim.latency_p99", float64(r.LatP99))
