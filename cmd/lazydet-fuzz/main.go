@@ -34,15 +34,11 @@
 // -nohints drops the hinted runs, making the unhinted policy the
 // differential baseline.
 //
-// -shards overrides the heap's shard count — and independently of the flag,
-// every seed cross-checks the strong engines against the single-shard heap
-// (or, under -shards 1, the default sharding): traces and final memory must
-// be bit-identical, because publication order is specified by (DLC, tid)
-// alone. -compiled runs every
-// engine on the threaded-code backend (fused superinstructions) instead of
-// the interpreter — and independently of the flag, every seed cross-checks
-// the strong engines against the opposite backend, the interpreter serving
-// as the differential oracle for the lowering pass. -eagerpublish disables
+// -compiled runs every engine on the threaded-code backend (fused
+// superinstructions) instead of the interpreter — and independently of the
+// flag, every seed cross-checks the strong engines against the opposite
+// backend, the interpreter serving as the differential oracle for the
+// lowering pass. -eagerpublish disables
 // same-owner publication elision — and independently of the flag, every
 // seed cross-checks the strong engines against the opposite publication
 // discipline: a staged release reserves exactly the sequence an eager
@@ -53,7 +49,7 @@
 //	lazydet-fuzz -seeds 100 -threads 4
 //	lazydet-fuzz -seeds 1000 -ops 120 -start 42
 //	lazydet-fuzz -seeds 50 -invariants
-//	lazydet-fuzz -seeds 5 -threads 256 -ops 8 -invariants -shards 1
+//	lazydet-fuzz -seeds 5 -threads 256 -ops 8 -invariants
 package main
 
 import (
@@ -116,7 +112,6 @@ func main() {
 	ops := flag.Int("ops", 60, "operations per thread")
 	invariants := flag.Bool("invariants", false, "audit runtime invariants at every turn and commit/revert")
 	vet := flag.Bool("vet", true, "cross-check progcheck static verdicts against runtime outcomes")
-	shards := flag.Int("shards", 0, "versioned heap shard count (0 = default, 1 = single-lock oracle)")
 	compiled := flag.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
 	eagerPublish := flag.Bool("eagerpublish", false, "publish every release eagerly instead of eliding same-owner publications")
 	noHints := flag.Bool("nohints", false, "skip the statically hinted LazyDet runs (unhinted differential baseline only)")
@@ -139,8 +134,7 @@ func main() {
 		ok := true
 		var violations []*invariant.Violation
 		baseOpt := harness.Options{
-			Threads: *threads, HeapShards: *shards, Compiled: *compiled,
-			EagerPublish: *eagerPublish,
+			Threads: *threads, Compiled: *compiled, EagerPublish: *eagerPublish,
 		}
 		if *invariants {
 			baseOpt.CheckInvariants = true
@@ -262,31 +256,15 @@ func main() {
 				}
 			}
 		}
-		// Property 7: sharding oracle. The sharded heap vs the single-lock
-		// layout must be unobservable: publication order is specified by
-		// (DLC, tid) alone, so the strong engines must produce
-		// bit-identical traces and final memory either way.
 		for _, eng := range []harness.EngineKind{harness.Consequence, harness.LazyDet} {
 			opt := baseOpt
 			opt.Engine = eng
 			opt.Trace = true
 			ref, err := harness.Run(w, opt)
-			alt := opt
-			if opt.HeapShards == 1 {
-				alt.HeapShards = 0 // oracle run was requested; compare against default sharding
-			} else {
-				alt.HeapShards = 1
-			}
-			res, err2 := harness.Run(w, alt)
-			if err != nil || err2 != nil {
-				fmt.Printf("seed %d: %s shard oracle: %v %v\n", seed, eng, err, err2)
+			if err != nil {
+				fmt.Printf("seed %d: %s: %v\n", seed, eng, err)
 				ok = false
 				continue
-			}
-			if ref.TraceSig != res.TraceSig || ref.HeapHash != res.HeapHash {
-				fmt.Printf("seed %d: %s DIVERGES from shard oracle (trace %x/%x heap %x/%x)\n",
-					seed, eng, ref.TraceSig, res.TraceSig, ref.HeapHash, res.HeapHash)
-				ok = false
 			}
 			// Property 8: execution-backend oracle. The threaded-code
 			// backend and the interpreter publish identical clocks at

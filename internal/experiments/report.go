@@ -115,10 +115,10 @@ func ReportSuite(cfg Config) (*telemetry.SuiteReport, error) {
 	}
 	// Scale rows: the ht microbenchmark at high thread counts (total
 	// operation count held constant), pinning the tournament arbiter's and
-	// sharded heap's deterministic metrics — DLC totals, commit counts,
-	// arbiter depth, shard count — where regressions in turn arbitration
-	// at scale would surface. Only run when cfg.Threads doesn't already
-	// override the suite's thread count.
+	// versioned heap's deterministic metrics — DLC totals, commit counts,
+	// arbiter depth — where regressions in turn arbitration at scale would
+	// surface. Only run when cfg.Threads doesn't already override the
+	// suite's thread count.
 	if cfg.Threads == 0 {
 		for _, scaleThreads := range []int{64, 256} {
 			htCfg := workloads.DefaultHTConfig(workloads.HT)

@@ -114,11 +114,6 @@ type Options struct {
 	// FullVersionChains retains every page version (DLRC-style
 	// accounting) instead of trimming to live bases (§4.2 experiment).
 	FullVersionChains bool
-	// HeapShards overrides the versioned heap's shard count (page-range
-	// partitions of the commit lock, page pool and trim floor). Zero means
-	// the heap's default; 1 collapses to the single-lock layout, the
-	// differential oracle for sharding.
-	HeapShards int
 	// Telemetry enables the unified metrics registry
 	// (internal/telemetry): the engine and the versioned heap publish
 	// counters and histograms into one recorder, available as
@@ -362,9 +357,6 @@ func Run(w *Workload, opt Options) (*Result, error) {
 		}
 		if opt.FullVersionChains {
 			hopts = append(hopts, vheap.WithFullVersionChains())
-		}
-		if opt.HeapShards > 0 {
-			hopts = append(hopts, vheap.WithShards(opt.HeapShards))
 		}
 		if tel != nil {
 			hopts = append(hopts, vheap.WithTelemetry(tel))

@@ -97,7 +97,6 @@ var ElisionVariantMetrics = map[string]bool{
 	"vheap.pages_committed": true,
 	"vheap.words_committed": true,
 	"vheap.words_scanned":   true,
-	"vheap.shard_batches":   true,
 	"vheap.stage_publishes": true,
 	"vheap.stage_flushes":   true,
 	"vheap.live_versions":   true,

@@ -112,7 +112,6 @@ var pinnedHTConsequence = telemetry.Snapshot{
 		"vheap.page_pool_hits":      70,
 		"vheap.page_pool_misses":    25,
 		"vheap.pages_committed":     95,
-		"vheap.shard_batches":       96,
 		"vheap.stage_flushes":       73,
 		"vheap.stage_publishes":     73,
 		"vheap.words_committed":     95,
@@ -120,7 +119,6 @@ var pinnedHTConsequence = telemetry.Snapshot{
 	},
 	Gauges: map[string]float64{
 		"dlc.arbiter_depth": 1,
-		"mempipe.shards":    8,
 	},
 	Histograms: map[string]telemetry.HistSnapshot{
 		"mempipe.publish_dirty_words": {N: 95, Sum: 22, Buckets: map[string]int64{"0": 73, "1": 22}},
@@ -163,7 +161,6 @@ var pinnedHTLazyDet = telemetry.Snapshot{
 		"vheap.page_pool_hits":      63,
 		"vheap.page_pool_misses":    30,
 		"vheap.pages_committed":     93,
-		"vheap.shard_batches":       93,
 		"vheap.stage_flushes":       4,
 		"vheap.stage_publishes":     5,
 		"vheap.words_committed":     95,
@@ -171,7 +168,6 @@ var pinnedHTLazyDet = telemetry.Snapshot{
 	},
 	Gauges: map[string]float64{
 		"dlc.arbiter_depth": 1,
-		"mempipe.shards":    8,
 		"spec.acquire_pct":  98.93048128342247,
 		"spec.success_pct":  92.5925925925926,
 	},
@@ -219,7 +215,6 @@ var pinnedSimLazyDet = telemetry.Snapshot{
 		"vheap.page_pool_hits":      168,
 		"vheap.page_pool_misses":    16,
 		"vheap.pages_committed":     184,
-		"vheap.shard_batches":       191,
 		"vheap.stage_flushes":       47,
 		"vheap.stage_publishes":     47,
 		"vheap.words_committed":     313,
@@ -227,7 +222,6 @@ var pinnedSimLazyDet = telemetry.Snapshot{
 	},
 	Gauges: map[string]float64{
 		"dlc.arbiter_depth":   2,
-		"mempipe.shards":      2,
 		"sim.latency_p50":     114,
 		"sim.latency_p95":     553,
 		"sim.latency_p99":     704,

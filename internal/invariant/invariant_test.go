@@ -265,7 +265,7 @@ func TestEndToEndDirtyAuditClean(t *testing.T) {
 	}
 }
 
-// TestCheckerShardTrimFloor: the checker rejects a shard trim floor that is
+// TestCheckerShardTrimFloor: the checker rejects a trim floor that is
 // ahead of the commit it is audited at — the shape an over-trim (or a
 // corrupted floor) produces — and accepts real trims, whose floors only
 // rise with the commits.
@@ -277,7 +277,7 @@ func TestCheckerShardTrimFloor(t *testing.T) {
 	c := invariant.New(arb, tbl, heap, func(v *invariant.Violation) { got = append(got, v) })
 
 	// Real commits with a single live view: every chain trims up to the
-	// previous commit, so floors chase the sequence and must audit clean.
+	// previous commit, so the floor chases the sequence and must audit clean.
 	v := heap.NewView()
 	for round := 0; round < 6; round++ {
 		for pi := int64(0); pi < 4; pi++ {
@@ -291,18 +291,18 @@ func TestCheckerShardTrimFloor(t *testing.T) {
 	}
 
 	// A fresh checker told commit 1 just published must reject the trim
-	// floors already sitting near commit 6.
+	// floor already sitting near commit 6.
 	var got2 []*invariant.Violation
 	c2 := invariant.New(arb, tbl, heap, func(v *invariant.Violation) { got2 = append(got2, v) })
 	c2.AtCommit(0, 1)
 	found := false
 	for _, v := range got2 {
-		if v.Rule == "shard-trim-floor" && strings.Contains(v.Detail, "ahead of commit") {
+		if v.Rule == "trim-floor" && strings.Contains(v.Detail, "ahead of commit") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("trim floor ahead of the audited commit not flagged as shard-trim-floor: %v", got2)
+		t.Fatalf("trim floor ahead of the audited commit not flagged as trim-floor: %v", got2)
 	}
 	v.Close()
 }

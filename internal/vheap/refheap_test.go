@@ -10,7 +10,7 @@ import (
 // versioned-memory semantics: one full contents snapshot per commit
 // sequence, and views that hold a map from page number to a (twin, words)
 // copy. The model knows nothing of bitmaps, page tables, generation stamps,
-// frame pools, shards or chain trimming — it merges every word that differs
+// frame pools or chain trimming — it merges every word that differs
 // from its twin — so it states what the heap must publish, and the heap's
 // machinery may only change how that is found.
 
@@ -159,9 +159,9 @@ type refPair struct {
 	mviews []*refView
 }
 
-func newRefPair(words int64, pageWords, views int, opts ...Option) *refPair {
+func newRefPair(words int64, pageWords, views int) *refPair {
 	p := &refPair{
-		h:     New(words, append([]Option{WithPageWords(pageWords)}, opts...)...),
+		h:     New(words, WithPageWords(pageWords)),
 		m:     newRefHeap(words, pageWords),
 		words: words,
 	}
@@ -295,8 +295,8 @@ func (p *refPair) step(r *uint64) error {
 // runRef drives a fresh pair through ops pseudo-random operations,
 // comparing after every one, then commits every view and compares the
 // committed state.
-func runRef(seed uint64, views, ops int, opts ...Option) error {
-	p := newRefPair(256, 32, views, opts...)
+func runRef(seed uint64, views, ops int) error {
+	p := newRefPair(256, 32, views)
 	r := seed
 	for k := 0; k < ops; k++ {
 		if err := p.step(&r); err != nil {
@@ -372,16 +372,6 @@ func TestQuickBitmapMatchesLegacyDiff(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestReferenceModelSingleShard runs the model check against the
-// single-lock layout too: shard boundaries are pure lock partitioning.
-func TestReferenceModelSingleShard(t *testing.T) {
-	for seed := uint64(1); seed <= 10; seed++ {
-		if err := runRef(seed, 3, 300, WithShards(1)); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 	}
 }
 

@@ -32,10 +32,11 @@
 package vheap
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // flushAll is the sequence bound that applies every outstanding stage. Only
@@ -227,13 +228,16 @@ func (v *View) DropClean() {
 // foreign stages first, so no stage at or below upTo can sit under one above
 // it on the same page. The fast path — no stages anywhere — is one atomic
 // load. Stages detached here are marked flushed so their owners can observe
-// the outcome at their next turn.
+// the outcome at their next turn. The detached stages are collected on the
+// caller's stack, so a flush allocates nothing and the concurrent bounded
+// flushes share no scratch.
 func (h *Heap) flushStages(skip *View, upTo int64) {
 	if h.nstaged.Load() == 0 {
 		return
 	}
+	var buf [8]*stage
+	todo := buf[:0]
 	h.stageMu.Lock()
-	var todo []*stage
 	keep := h.stages[:0]
 	for _, s := range h.stages {
 		if s.view == skip || s.seq > upTo {
@@ -250,52 +254,30 @@ func (h *Heap) flushStages(skip *View, upTo int64) {
 	if len(todo) == 0 {
 		return
 	}
-	sort.Slice(todo, func(i, j int) bool { return todo[i].seq < todo[j].seq })
+	slices.SortFunc(todo, func(a, b *stage) int { return cmp.Compare(a.seq, b.seq) })
+	h.mu.Lock()
 	for _, s := range todo {
-		h.applyStage(s)
+		h.applyStageLocked(s)
 	}
+	h.mu.Unlock()
 }
 
-// applyStage merges one detached stage onto the version chains at its
-// reserved sequence. The merge is commitPage verbatim — same silent-store
+// applyStageLocked merges one detached stage onto the version chains at its
+// reserved sequence. The merge is publishLocked verbatim — same silent-store
 // suppression, same trim policy — so a flushed elided section publishes
 // byte-identical pages to the eager commits it replaced. The heap sequence
 // is not advanced: the reservation already advanced it at stage time.
-func (h *Heap) applyStage(s *stage) {
-	scanned := int64(0)
-	pages := int64(0)
-	changed := 0
-	batches := int64(0)
-	var pageHits, pageMisses int64
-	cur := -1
+// Caller holds h.mu.
+func (h *Heap) applyStageLocked(s *stage) {
+	var t tally
 	for k, pi := range s.pis {
-		if si := pi >> h.ppsShift; si != cur {
-			if cur >= 0 {
-				h.shards[cur].mu.Unlock()
-			}
-			h.shards[si].mu.Lock()
-			cur = si
-			batches++
-		}
-		sh := &h.shards[cur]
 		if head := h.slots[pi].Load(); head.seq >= s.seq {
 			panic(fmt.Sprintf("vheap: deferred publication at seq %d under page %d head seq %d — a commit overtook an outstanding stage",
 				s.seq, pi, head.seq))
 		}
-		n := h.commitPage(sh, pi, s.pages[k], s.seq, &scanned, &pageHits, &pageMisses)
-		if n == 0 {
-			continue
-		}
-		pages++
-		changed += n
-		if h.trim {
-			h.trimChainLocked(sh, h.slots[pi].Load(), h.shardFloor(sh))
-		}
+		h.publishLocked(pi, s.pages[k], s.seq, &t)
 	}
-	if cur >= 0 {
-		h.shards[cur].mu.Unlock()
-	}
-	h.countCommit(pages, int64(changed), scanned, batches, pageHits, pageMisses)
+	h.countCommit(&t)
 	if h.tel != nil {
 		h.tel.stageFlushes.Add(1)
 	}

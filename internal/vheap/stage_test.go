@@ -239,3 +239,44 @@ func TestStagePublishEmptyDelta(t *testing.T) {
 		t.Fatalf("ReadCommitted(1) = %d, want 10", got)
 	}
 }
+
+// TestFlushStagesAllocFree pins the flush path's allocation budget: once the
+// pools are warm, staging two views' publications and flushing both stages
+// in one flushStages call allocates nothing.
+func TestFlushStagesAllocFree(t *testing.T) {
+	h := New(256, WithPageWords(32))
+	a, b := h.NewView(), h.NewView()
+	// stageOnly is StagePublish without its foreign flush, so both stages
+	// stay outstanding until the flush under test.
+	stageOnly := func(v *View) {
+		seq := h.seq.Load() + 1
+		v.stageDirty(seq)
+		h.seq.Store(seq)
+		v.unstaged = false
+		v.rebaseDirty(seq)
+	}
+	val := int64(0)
+	cycle := func() {
+		val++
+		a.Store(1, val)
+		b.Store(100, val)
+		stageOnly(a)
+		stageOnly(b)
+		if h.nstaged.Load() != 2 {
+			t.Fatalf("%d outstanding stages before the flush, want 2", h.nstaged.Load())
+		}
+		h.flushStages(nil, flushAll)
+	}
+	for i := 0; i < 4; i++ {
+		cycle() // warm the frame and page pools
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a two-stage flush allocates %.1f times, want 0", n)
+	}
+	if got := h.ReadCommitted(100); got != val {
+		t.Fatalf("ReadCommitted(100) = %d, want %d", got, val)
+	}
+	if err := h.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}

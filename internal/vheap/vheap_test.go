@@ -271,13 +271,22 @@ func TestStatsCountCommits(t *testing.T) {
 
 // TestQuickConcurrentViewsStress hammers the heap with concurrent views
 // performing random store/commit/revert/update sequences on disjoint
-// address ranges, then checks every view's writes survived exactly.
+// address ranges, then checks every view's writes survived exactly. Stores
+// run concurrently; NewView, Commit, Update, Revert and Close run under
+// turn, the mutex that stands in for the deterministic turn View.Commit's
+// contract requires.
 func TestQuickConcurrentViewsStress(t *testing.T) {
 	f := func(seed uint64) bool {
 		const goroutines = 4
 		const perRange = 64
 		h := New(goroutines*perRange, WithPageWords(32))
 		var wg sync.WaitGroup
+		var turn sync.Mutex
+		locked := func(op func()) {
+			turn.Lock()
+			defer turn.Unlock()
+			op()
+		}
 		expected := make([][]int64, goroutines)
 		for g := 0; g < goroutines; g++ {
 			expected[g] = make([]int64, perRange)
@@ -289,24 +298,25 @@ func TestQuickConcurrentViewsStress(t *testing.T) {
 					r = r*6364136223846793005 + 1442695040888963407
 					return (r >> 33) % n
 				}
-				v := h.NewView()
-				defer v.Close()
+				var v *View
+				locked(func() { v = h.NewView() })
+				defer locked(func() { v.Close() })
 				base := int64(g * perRange)
 				pending := map[int64]int64{}
 				for i := 0; i < 200; i++ {
 					switch next(10) {
 					case 0: // revert: discard pending
-						v.Revert()
+						locked(func() { v.Revert() })
 						pending = map[int64]int64{}
 					case 1, 2: // commit: pending becomes durable
-						v.Commit()
+						locked(func() { v.Commit() })
 						for a, val := range pending {
 							expected[g][a-base] = val
 						}
 						pending = map[int64]int64{}
 					case 3:
 						if len(pending) == 0 {
-							v.Update() // only legal with a clean dirty set
+							locked(v.Update) // only legal with a clean dirty set
 						}
 					default:
 						a := base + int64(next(perRange))
@@ -315,7 +325,7 @@ func TestQuickConcurrentViewsStress(t *testing.T) {
 						pending[a] = val
 					}
 				}
-				v.Commit()
+				locked(func() { v.Commit() })
 				for a, val := range pending {
 					expected[g][a-base] = val
 				}
@@ -351,4 +361,78 @@ func TestStoreDirtyForcesMerge(t *testing.T) {
 	if got := h.ReadCommitted(3); got != 7 {
 		t.Fatalf("word 3 = %d, want 7 (StoreDirty must not be silent)", got)
 	}
+}
+
+// TestShardTrimFloorsMonotone pins the trim-floor invariant: as views
+// commit, re-base and close, the floor trims use never decreases, never
+// exceeds the newest committed sequence, and never passes a live base.
+func TestShardTrimFloorsMonotone(t *testing.T) {
+	h := New(1024, WithPageWords(16))
+	prev := h.TrimFloor()
+	check := func(stage string) {
+		cur := h.TrimFloor()
+		if cur < prev {
+			t.Fatalf("%s: trim floor went backwards: %d -> %d", stage, prev, cur)
+		}
+		if cur > h.Seq() {
+			t.Fatalf("%s: trim floor %d ahead of newest commit %d", stage, cur, h.Seq())
+		}
+		if err := h.Audit(); err != nil { // the floor must also stay at or below the live bases
+			t.Fatalf("%s: %v", stage, err)
+		}
+		prev = cur
+	}
+
+	a := h.NewView()
+	b := h.NewView()
+	for round := 0; round < 8; round++ {
+		for pi := 0; pi < 64; pi += 3 {
+			a.Store(int64(pi*16), int64(round))
+		}
+		a.Commit()
+		check("after a.Commit")
+		b.Update() // b's base advances: the floor may rise
+		for pi := 1; pi < 64; pi += 5 {
+			b.Store(int64(pi*16), int64(-round))
+		}
+		b.Commit()
+		check("after b.Commit")
+		a.Update()
+	}
+	b.Close()
+	check("after b.Close")
+	// With only one live view at the newest base, another commit trims
+	// every touched chain up to that base.
+	for pi := 0; pi < 64; pi++ {
+		a.Store(int64(pi*16+1), 7)
+	}
+	a.Commit()
+	check("after full-heap commit")
+	a.Close()
+}
+
+// TestShardPoolsRecycleFrames checks trimming refills the heap's
+// published-page pool: steady-state commits on a trimmed heap reuse frames
+// rather than allocating fresh pages without bound.
+func TestShardPoolsRecycleFrames(t *testing.T) {
+	h := New(1024, WithPageWords(16))
+	v := h.NewView()
+	for round := 0; round < 50; round++ {
+		for pi := 0; pi < 64; pi++ {
+			v.Store(int64(pi*16), int64(round))
+		}
+		v.Commit()
+	}
+	// One live view at the newest base: every chain should have been
+	// trimmed to ~1 version + the shared zero tail.
+	if live := h.LiveVersions(); live > 2*64 {
+		t.Fatalf("%d live versions after steady-state commits on 64 pages; trimming is not recycling", live)
+	}
+	h.mu.Lock()
+	pooled := len(h.pagePool)
+	h.mu.Unlock()
+	if pooled == 0 {
+		t.Fatal("no frames in the page pool after heavy trimming")
+	}
+	v.Close()
 }
