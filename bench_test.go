@@ -78,81 +78,6 @@ func BenchmarkHTAllocs(b *testing.B) {
 	}
 }
 
-// burstWorkload is the chain-forming shape for the publication-elision
-// benchmark: each thread's DLC-staggered bursts of short reacquire runs of
-// its own lock, separated by heavy compute, give the same-owner elision
-// path uninterrupted runs of turns to merge stages across.
-func burstWorkload(bursts, burstLen int64) *lazydet.Workload {
-	const heavy = 10_000
-	return &lazydet.Workload{
-		Name:      "burst",
-		HeapWords: 64,
-		Locks:     64,
-		Programs: func(threads int) []*lazydet.Program {
-			progs := make([]*lazydet.Program, threads)
-			for tid := 0; tid < threads; tid++ {
-				b := lazydet.NewProgram(fmt.Sprintf("burst-%d", tid))
-				i, j, v := b.Reg(), b.Reg(), b.Reg()
-				lock := lazydet.Const(int64(tid))
-				addr := lazydet.Const(int64(tid))
-				b.DoCost(1+int64(tid)*1000, func(*lazydet.Thread) {})
-				b.ForN(i, bursts, func() {
-					b.DoCost(heavy, func(*lazydet.Thread) {})
-					b.ForN(j, burstLen, func() {
-						b.Lock(lock)
-						b.Load(v, addr)
-						b.Store(addr, lazydet.Dyn(func(t *lazydet.Thread) int64 { return t.R(v) + 1 }))
-						b.Unlock(lock)
-					})
-				})
-				progs[tid] = b.Build()
-			}
-			return progs
-		},
-		Validate: func(read func(int64) int64, threads int) error {
-			for tid := 0; tid < threads; tid++ {
-				if got, want := read(int64(tid)), bursts*burstLen; got != want {
-					return fmt.Errorf("thread %d counter = %d, want %d", tid, got, want)
-				}
-			}
-			return nil
-		},
-	}
-}
-
-// BenchmarkElision_PublicationDiscipline measures same-owner publication
-// elision against its -eagerpublish differential oracle on the strong
-// engines: the hash-table microbenchmarks (dynamically addressed locks,
-// where the adaptive policy should learn elision off and cost ~nothing)
-// and the burst shape (reacquire runs, where stages chain and physical
-// commits collapse).
-func BenchmarkElision_PublicationDiscipline(b *testing.B) {
-	type point struct {
-		name string
-		w    *lazydet.Workload
-		eng  lazydet.EngineKind
-	}
-	points := []point{
-		{"ht/LazyDet", workloads.NewHashTable(htCfg(workloads.HT)), lazydet.LazyDet},
-		{"htlazy/LazyDet", workloads.NewHashTable(htCfg(workloads.HTLazy)), lazydet.LazyDet},
-		{"burst/Consequence", burstWorkload(10, 20), lazydet.Consequence},
-		{"burst/LazyDet", burstWorkload(10, 20), lazydet.LazyDet},
-	}
-	for _, p := range points {
-		for _, eager := range []bool{false, true} {
-			name := p.name + "/elided"
-			if eager {
-				name = p.name + "/eager"
-			}
-			b.Run(name, func(b *testing.B) {
-				runOnce(b, p.w, lazydet.Options{
-					Engine: p.eng, Threads: benchThreads, EagerPublish: eager,
-				})
-			})
-		}
-	}
-}
-
 // BenchmarkTable1_LockStatistics measures the instrumented pthreads runs
 // that produce Table 1's lock statistics.
 func BenchmarkTable1_LockStatistics(b *testing.B) {

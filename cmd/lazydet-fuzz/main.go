@@ -1,54 +1,38 @@
-// Command lazydet-fuzz differentially stress-tests the engines: it
-// generates random data-race-free commutative programs (whose final memory
-// is schedule-independent and predicted on the host), runs each under every
-// engine, and verifies four properties per seed:
+// Command lazydet-fuzz differentially stress-tests the engines. It
+// generates random data-race-free commutative programs, whose final memory
+// is schedule-independent and predicted on the host, runs each under every
+// engine, and checks these properties per seed:
 //
-//  1. correctness — every engine's final memory matches the model exactly;
-//
-//  2. determinism — Consequence, TotalOrder-Weak and LazyDet reproduce
-//     identical trace signatures and memory across repeated runs, and so
-//     does LazyDet with write-aware conflict detection;
-//
-//  3. speculation accounting — LazyDet's commits + reverts equal its run
-//     count;
-//
-//  4. (with -invariants) runtime invariants — turn-holder uniqueness, heap
+//  1. correctness: every engine's final memory matches the model exactly.
+//  2. determinism: Consequence, TotalOrder-Weak and LazyDet, and LazyDet
+//     with write-aware conflict detection, reproduce identical trace
+//     signatures and memory across repeated runs.
+//  3. speculation accounting: LazyDet's commits plus reverts equal its run
+//     count.
+//  4. runtime invariants (with -invariants): turn-holder uniqueness, heap
 //     commit monotonicity, lock-table consistency and snapshot round-trip
 //     exactness hold at every turn grant and commit/revert.
+//  5. no static false positives (with -vet, on by default): progcheck
+//     reports zero error findings on these race-free, deadlock-free
+//     programs. Warnings are tallied and their rate printed.
+//  6. no static false negatives (with -vet): after a lock acquisition that
+//     is never released is seeded into a copy of a program, progcheck must
+//     report the held-at-exit finding.
+//  8. execution-backend oracle: Consequence and LazyDet also run on the
+//     opposite backend to the one selected (the interpreter, or with
+//     -compiled the threaded-code backend). The trace signature, the final
+//     memory and every gated telemetry metric must be bit-identical.
+//  9. speculation hints (unless -nohints): LazyDet with the static
+//     footprint hints (harness.Options.SpecHints) is deterministic, commits
+//     the same final memory as the unhinted run, and charges no conflict
+//     revert to a lock the analysis proved Disjoint.
 //
-// With -vet (on by default) every generated program set is additionally
-// cross-checked against the static analyzer: internal/progcheck must report
-// zero error findings on these race-free, deadlock-free programs (any
-// finding is an analyzer false positive — warnings are tallied and the rate
-// reported), and after seeding a known bug into a copy (the final halt is
-// prefixed with a lock acquisition that is never released) the analyzer
-// must flag it, or it has a soundness hole.
-//
-// Unless -nohints is given, every seed also runs LazyDet with the static
-// speculation hints (harness.Options.SpecHints) and checks the hint
-// properties: the hinted run is deterministic, its final memory is
-// bit-identical to the unhinted run's (hints steer speculation, never
-// committed state), and every lock the footprint analysis proved Disjoint
-// observes zero conflict-attributed reverts — if a "can never fail
-// validation" lock reverts even once, the static proof is unsound.
-// -nohints drops the hinted runs, making the unhinted policy the
-// differential baseline.
-//
-// -compiled runs every engine on the threaded-code backend (fused
-// superinstructions) instead of the interpreter — and independently of the
-// flag, every seed cross-checks the strong engines against the opposite
-// backend, the interpreter serving as the differential oracle for the
-// lowering pass. -eagerpublish disables
-// same-owner publication elision — and independently of the flag, every
-// seed cross-checks the strong engines against the opposite publication
-// discipline: a staged release reserves exactly the sequence an eager
-// commit would use and records the same trace event, so schedules,
-// TraceSig, HeapHash and every gated metric outside the publication
-// machinery (commit/stage volume) must be bit-identical either way.
+// Numbers 7 and 10 are retired: they checked options that no longer exist.
 //
 //	lazydet-fuzz -seeds 100 -threads 4
 //	lazydet-fuzz -seeds 1000 -ops 120 -start 42
 //	lazydet-fuzz -seeds 50 -invariants
+//	lazydet-fuzz -seeds 50 -invariants -compiled
 //	lazydet-fuzz -seeds 5 -threads 256 -ops 8 -invariants
 package main
 
@@ -89,13 +73,6 @@ func seedHeldLockBug(p *dvm.Program) *dvm.Program {
 	return &mut
 }
 
-// gatedMismatches diffs the gated metrics of two telemetry-collected runs,
-// skipping the elision-variant set (commit/stage volume counters, which the
-// publication discipline legitimately changes).
-func gatedMismatches(a, b *harness.Result) []string {
-	return harness.GatedMetricDiffs(a, b)
-}
-
 func hasClass(rep *progcheck.Report, class progcheck.Class) bool {
 	for _, f := range rep.Findings {
 		if f.Class == class {
@@ -113,7 +90,6 @@ func main() {
 	invariants := flag.Bool("invariants", false, "audit runtime invariants at every turn and commit/revert")
 	vet := flag.Bool("vet", true, "cross-check progcheck static verdicts against runtime outcomes")
 	compiled := flag.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
-	eagerPublish := flag.Bool("eagerpublish", false, "publish every release eagerly instead of eliding same-owner publications")
 	noHints := flag.Bool("nohints", false, "skip the statically hinted LazyDet runs (unhinted differential baseline only)")
 	verbose := flag.Bool("v", false, "print every seed")
 	flag.Parse()
@@ -134,7 +110,7 @@ func main() {
 		ok := true
 		var violations []*invariant.Violation
 		baseOpt := harness.Options{
-			Threads: *threads, Compiled: *compiled, EagerPublish: *eagerPublish,
+			Threads: *threads, Compiled: *compiled,
 		}
 		if *invariants {
 			baseOpt.CheckInvariants = true
@@ -257,24 +233,27 @@ func main() {
 			}
 		}
 		for _, eng := range []harness.EngineKind{harness.Consequence, harness.LazyDet} {
+			// Property 8: execution-backend oracle. The threaded-code
+			// backend and the interpreter publish identical clocks at
+			// every sync point, so the schedule — and with it the trace,
+			// the final memory and every gated metric — must be
+			// bit-identical per seed. Telemetry is on for both runs so the
+			// gated metrics can be diffed, not just the fingerprints.
 			opt := baseOpt
 			opt.Engine = eng
 			opt.Trace = true
+			opt.Telemetry = true
 			ref, err := harness.Run(w, opt)
 			if err != nil {
 				fmt.Printf("seed %d: %s: %v\n", seed, eng, err)
 				ok = false
 				continue
 			}
-			// Property 8: execution-backend oracle. The threaded-code
-			// backend and the interpreter publish identical clocks at
-			// every sync point, so the schedule — and with it the trace
-			// and the final memory — must be bit-identical per seed.
 			bopt := opt
 			bopt.Compiled = !opt.Compiled
-			bres, err4 := harness.Run(w, bopt)
-			if err4 != nil {
-				fmt.Printf("seed %d: %s backend oracle: %v\n", seed, eng, err4)
+			bres, err := harness.Run(w, bopt)
+			if err != nil {
+				fmt.Printf("seed %d: %s backend oracle: %v\n", seed, eng, err)
 				ok = false
 				continue
 			}
@@ -283,31 +262,8 @@ func main() {
 					seed, eng, ref.TraceSig, bres.TraceSig, ref.HeapHash, bres.HeapHash)
 				ok = false
 			}
-			// Property 10: publication-discipline oracle. A staged release
-			// reserves exactly the sequence an eager commit would use and
-			// records the same trace event, so the schedule, the trace, the
-			// final memory and every gated metric outside the publication
-			// machinery itself must be bit-identical with elision flipped.
-			// Telemetry is enabled on both runs so the gated metrics can be
-			// diffed, not just the fingerprints.
-			popt := opt
-			popt.Telemetry = true
-			pref, err5 := harness.Run(w, popt)
-			palt := popt
-			palt.EagerPublish = !popt.EagerPublish
-			pres, err6 := harness.Run(w, palt)
-			if err5 != nil || err6 != nil {
-				fmt.Printf("seed %d: %s publication oracle: %v %v\n", seed, eng, err5, err6)
-				ok = false
-				continue
-			}
-			if pref.TraceSig != pres.TraceSig || pref.HeapHash != pres.HeapHash {
-				fmt.Printf("seed %d: %s DIVERGES from publication oracle (trace %x/%x heap %x/%x)\n",
-					seed, eng, pref.TraceSig, pres.TraceSig, pref.HeapHash, pres.HeapHash)
-				ok = false
-			}
-			for _, m := range gatedMismatches(pref, pres) {
-				fmt.Printf("seed %d: %s gated metric differs across publication oracle: %s\n", seed, eng, m)
+			for _, m := range harness.GatedMetricDiffs(ref, bres) {
+				fmt.Printf("seed %d: %s gated metric differs across backends: %s\n", seed, eng, m)
 				ok = false
 			}
 		}

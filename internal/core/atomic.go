@@ -86,11 +86,7 @@ func (e *Engine) irrevocableAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int
 func (e *Engine) eagerAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int64 {
 	e.waitCommitTurn(t)
 	addr := a.Addr(t)
-	// The read half needs fresh state but keeps deferred publications
-	// outstanding; the store below makes the window unpublished again, so the
-	// second publication commits (applying any outstanding stage first) —
-	// the atomic's update is immediately cross-thread visible.
-	e.publishRefreshLazy(t, ts)
+	e.publishAndRefresh(t, ts)
 	cur := ts.mem.Load(addr)
 	store, result := a.Apply(t, cur)
 	ts.mem.Store(addr, store)

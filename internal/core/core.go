@@ -149,21 +149,6 @@ type Config struct {
 	// round-trip exactness. Off by default; when off the only cost is a
 	// nil pointer compare at each audit point.
 	CheckInvariants bool
-	// EagerPublish disables same-owner publication elision: every
-	// synchronization operation publishes immediately at its turn, exactly as
-	// the pre-elision engines did. The always-publish path is kept as a
-	// differential oracle (-eagerpublish on lazydet-run/-bench/-fuzz):
-	// schedules, trace signatures, heap hashes and the gated metrics outside
-	// the publication machinery must be bit-identical with elision on.
-	EagerPublish bool
-	// ElideChainLimit bounds how many consecutive publications one thread
-	// may defer before the next release publishes eagerly. The retained
-	// dirty set (and with it the stage-merge and speculation-snapshot cost)
-	// grows with the chain, so an unbounded chain would turn elision's
-	// per-release win into quadratic accumulated work on lock-hot loops.
-	// Zero means the default (64); the limit only changes which releases
-	// elide — a deterministic function of the schedule either way.
-	ElideChainLimit int
 	// Hints carries per-lock speculation priors indexed by lock ID — the
 	// progcheck footprint analysis verdicts, lowered by the harness. Nil,
 	// or any lock beyond the slice, means HintNone. Only meaningful with
@@ -171,14 +156,6 @@ type Config struct {
 	// unhinted one (identical final memory and Validate outcomes), which
 	// lazydet-fuzz checks differentially.
 	Hints []SpecHint
-}
-
-// WithEagerPublish returns a copy of the config with same-owner publication
-// elision disabled — the always-publish differential oracle. Exposed as
-// -eagerpublish on lazydet-run/-bench/-fuzz.
-func (c Config) WithEagerPublish() Config {
-	c.EagerPublish = true
-	return c
 }
 
 // SpecHint is a static prior for the per-lock speculation policy, computed
@@ -233,9 +210,6 @@ func (c Config) withDefaults() Config {
 	if c.Spec.RetryEvery == 0 {
 		c.Spec.RetryEvery = 20
 	}
-	if c.ElideChainLimit == 0 {
-		c.ElideChainLimit = 64
-	}
 	return c
 }
 
@@ -285,16 +259,6 @@ type Engine struct {
 	// irrevocableOwner is the thread ID holding irrevocable status, or
 	// -1. Read and written only at deterministic turn points.
 	irrevocableOwner int
-
-	// elideGlobal is the workload-wide elision survival history — the same
-	// 64-outcome shift register as a lock's ElideHist, fed by every resolved
-	// real or virtual elision regardless of lock. It exists because per-lock
-	// histories cannot learn on dynamically addressed lock sets (ht's
-	// per-bucket locks see a handful of releases each): a workload whose
-	// threads release in long uninterrupted runs earns engagement here even
-	// when every individual lock is too cold to predict anything. Mutated
-	// only at turns.
-	elideGlobal uint64
 }
 
 // metrics are the engine's per-event counters and histograms. The engine
@@ -304,8 +268,7 @@ type Engine struct {
 type metrics struct {
 	turnWaits         telemetry.Counter   // commit-capable turns granted
 	turnRetries       telemetry.Counter   // irrevocability backoff re-queues
-	publishes         telemetry.Counter   // publications, eager or staged
-	elided            telemetry.Counter   // publications deferred into a stage
+	publishes         telemetry.Counter   // publications
 	revertedWords     telemetry.Counter   // words discarded by reverts
 	publishDirtyWords telemetry.Histogram // dirty words per publication
 	revertWords       telemetry.Histogram // words discarded per revert
@@ -316,7 +279,6 @@ func (m *metrics) attach(rec *telemetry.Recorder) {
 	rec.AttachCounter("turn.waits", &m.turnWaits)
 	rec.AttachCounter("turn.retries", &m.turnRetries)
 	rec.AttachCounter("mempipe.publishes", &m.publishes)
-	rec.AttachCounter("commit.elided", &m.elided)
 	rec.AttachCounter("spec.reverted_words", &m.revertedWords)
 	rec.AttachHistogram("mempipe.publish_dirty_words", &m.publishDirtyWords)
 	rec.AttachHistogram("spec.revert_words", &m.revertWords)
@@ -365,9 +327,7 @@ func New(cfg Config, d Deps) *Engine {
 		// success history keeps them conventional until RetryEvery probing
 		// earns speculation back, instead of paying the warm-up reverts
 		// the optimistic all-success seed would. (A no-op without
-		// speculation metadata: the rows are nil then.) Elision histories
-		// need no such zeroing: they start zero for every lock and are
-		// earned through virtual probes (elide.go).
+		// speculation metadata: the rows are nil then.)
 		for l, h := range cfg.Hints {
 			if h != HintConflicting || l >= len(d.Tbl.Locks) {
 				continue
@@ -461,26 +421,6 @@ type tstate struct {
 	// Per-thread speculation history, used when PerLockStats is off.
 	threadHist     uint64
 	threadAttempts uint32
-
-	// Publication-elision state (elide.go): when elidePending is set, the
-	// thread's most recent publication was deferred at lock elideLock's
-	// release and its hit/miss outcome resolves at the thread's next
-	// publication point. elideChain counts consecutive deferred
-	// publications since the last physical commit, bounded by
-	// Config.ElideChainLimit.
-	elidePending bool
-	elideLock    int64
-	elideChain   int
-
-	// Virtual-probe state (elide.go): when virtPending is set, the thread's
-	// most recent release at lock virtLock published eagerly and recorded
-	// the heap sequence in virtSeq; at the thread's next publication point
-	// the probe resolves — an unchanged sequence means a deferred
-	// publication would have survived to merge there, a hit at zero staging
-	// cost.
-	virtPending bool
-	virtLock    int64
-	virtSeq     int64
 }
 
 func (e *Engine) ts(t *dvm.Thread) *tstate { return t.EngineData.(*tstate) }
@@ -538,11 +478,9 @@ func (e *Engine) ThreadExit(t *dvm.Thread) bool {
 	// Take a final turn: the exit commit publishes outstanding writes
 	// (strong mode), and Exit in place of releasing the turn makes the
 	// Exited status visible exactly at this deterministic boundary, which
-	// keeps joiners' retry counts deterministic. Exit is a cross-thread
-	// visibility point (joiners adopt this state), so deferred publications
-	// settle here.
+	// keeps joiners' retry counts deterministic.
 	e.waitCommitTurn(t)
-	e.forcePublish(t, ts)
+	e.publish(t, ts)
 	if e.tel != nil {
 		// The thread's final clock: summed over threads this is the run's
 		// total deterministic logical work, the report's "dlc.total".
@@ -674,25 +612,20 @@ func (e *Engine) waitCommitTurn(t *dvm.Thread) {
 // versioned commit of its view, recording the commit in the trace and
 // auditing commit integrity. On flat (weak-mode) memory there is no view and
 // this is a no-op — which is what lets the synchronization paths drive one
-// publication choreography for every engine. Reports whether a physical
-// commit happened. Caller holds the turn.
-func (e *Engine) publish(t *dvm.Thread, ts *tstate) bool {
+// publication choreography for every engine. Caller holds the turn.
+func (e *Engine) publish(t *dvm.Thread, ts *tstate) {
 	v := ts.view
 	if v == nil || v.DirtyPages() == 0 {
-		return false
+		return
 	}
 	defer phaseBegin(phaseCommit)()
 	if e.audit != nil {
 		e.audit.AtPublish(t.ID, v)
 	}
-	// Unpublished, not DirtyPages: an elided window retains its dirty set
-	// across staged publications, and a force point with no writes since the
-	// last stage must publish nothing — exactly when the eager path's dirty
-	// set would have been empty. The two tests coincide in eager operation.
-	if !v.Unpublished() {
-		return false
+	if e.tel != nil {
+		e.m.publishes.Add(1)
+		e.m.publishDirtyWords.Observe(int64(v.DirtyWords()))
 	}
-	e.countPublish(v)
 	seq, _ := v.Commit()
 	my := e.arb.DLC(t.ID)
 	e.rec.Commit(t.ID, my, seq)
@@ -702,7 +635,6 @@ func (e *Engine) publish(t *dvm.Thread, ts *tstate) bool {
 	if e.audit != nil {
 		e.audit.AtCommit(t.ID, seq)
 	}
-	return true
 }
 
 // publishAndRefresh publishes the thread's writes and re-bases its window on
@@ -713,15 +645,6 @@ func (e *Engine) publishAndRefresh(t *dvm.Thread, ts *tstate) {
 	e.publish(t, ts)
 	if ts.view != nil {
 		ts.view.Update()
-	}
-}
-
-// countPublish records one publication, eager or staged, and the size of the
-// dirty set it publishes.
-func (e *Engine) countPublish(v *vheap.View) {
-	if e.tel != nil {
-		e.m.publishes.Add(1)
-		e.m.publishDirtyWords.Observe(int64(v.DirtyWords()))
 	}
 }
 

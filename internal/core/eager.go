@@ -50,10 +50,7 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
 	backoff := e.cfg.Quantum
 	for {
 		e.waitCommitTurn(t)
-		// Lazy refresh: a reacquisition is not a cross-thread visibility
-		// point, so the thread's own deferred publication (if any) stays
-		// outstanding — the same-owner elision win.
-		e.publishRefreshLazy(t, ts)
+		e.publishAndRefresh(t, ts)
 		my := e.arb.DLC(t.ID)
 		if st.Owner == 0 && st.Readers == 0 && (e.arb.Nondet() || st.ReleaseDLC <= my) {
 			st.Owner = int32(t.ID) + 1
@@ -88,13 +85,12 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
 	}
 }
 
-// convUnlock releases a conventionally held lock at the turn, recording the
-// release time for deterministic future acquires. The release publication is
-// the elision point: when the lock's policy allows, the commit is deferred
-// at a reserved sequence instead of performed (elide.go).
+// convUnlock releases a conventionally held lock at the turn, publishing the
+// critical section's writes and recording the release time for
+// deterministic future acquires.
 func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64) {
 	e.waitCommitTurn(t)
-	e.releasePublish(t, ts, l)
+	e.publishAndRefresh(t, ts)
 	st := &e.tbl.Locks[l]
 	if st.Owner != int32(t.ID)+1 {
 		panic(fmt.Sprintf("core: thread %d unlocks lock %d owned by %d", t.ID, l, st.Owner-1))
@@ -136,10 +132,7 @@ func (e *Engine) CondWait(t *dvm.Thread, cv, l int64) {
 	e.waitCommitTurn(t)
 	// Publish without refreshing: the view is re-based by the deterministic
 	// re-acquisition after the wake, never at the wall-clock wake moment.
-	// Parking is a cross-thread visibility point, so deferred publications
-	// settle here — which also keeps any flush pinned to a later wake
-	// sequence a deterministic no-op.
-	e.forcePublish(t, ts)
+	e.publish(t, ts)
 	my := e.arb.DLC(t.ID)
 	st := &e.tbl.Locks[l]
 	st.Owner = 0
@@ -172,7 +165,7 @@ func (e *Engine) CondSignal(t *dvm.Thread, cv int64) {
 		}
 	}
 	e.waitCommitTurn(t)
-	e.forcePublishRefresh(t, ts)
+	e.publishAndRefresh(t, ts)
 	my := e.arb.DLC(t.ID)
 	c := &e.tbl.Conds[cv]
 	if len(c.Waiters) > 0 {
@@ -194,7 +187,7 @@ func (e *Engine) CondBroadcast(t *dvm.Thread, cv int64) {
 		}
 	}
 	e.waitCommitTurn(t)
-	e.forcePublishRefresh(t, ts)
+	e.publishAndRefresh(t, ts)
 	my := e.arb.DLC(t.ID)
 	c := &e.tbl.Conds[cv]
 	for k, w := range c.Waiters {
@@ -216,11 +209,7 @@ func (e *Engine) BarrierWait(t *dvm.Thread, bid int64) {
 		}
 	}
 	e.waitCommitTurn(t)
-	// A barrier arrival is a cross-thread visibility point: every released
-	// thread re-bases on the arrivals' combined state, so deferred
-	// publications settle here — and the woken threads' RefreshTo flushes,
-	// bounded by ReleaseSeq, stay deterministic no-ops.
-	e.forcePublish(t, ts)
+	e.publish(t, ts)
 	my := e.arb.DLC(t.ID)
 	b := &e.tbl.Barriers[bid]
 	e.rec.Sync(t.ID, trace.OpBarrier, bid, my)

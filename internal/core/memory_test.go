@@ -65,7 +65,7 @@ func TestPublishVersioned(t *testing.T) {
 		if ts.view == nil || th.Mem != dvm.MemWindow(ts.view) {
 			t.Fatal("strong-mode thread does not load and store through its view")
 		}
-		if e.publish(th, ts) || e.seq() != 0 {
+		if e.publish(th, ts); e.seq() != 0 {
 			t.Fatalf("publish with no writes committed (seq %d)", e.seq())
 		}
 		th.Mem.Store(5, 7)
@@ -75,7 +75,7 @@ func TestPublishVersioned(t *testing.T) {
 		if got := r.heap.ReadCommitted(5); got != 0 {
 			t.Fatalf("unpublished store visible: ReadCommitted(5) = %d, want 0", got)
 		}
-		if !e.publish(th, ts) || e.seq() != 1 {
+		if e.publish(th, ts); e.seq() != 1 {
 			t.Fatalf("publish after a store: seq %d, want a commit at 1", e.seq())
 		}
 		if got := r.heap.ReadCommitted(5); got != 7 {
@@ -100,7 +100,7 @@ func TestPublishFlat(t *testing.T) {
 		if got := r.mem.ReadCommitted(5); got != 7 {
 			t.Fatalf("flat store not visible at once: ReadCommitted(5) = %d, want 7", got)
 		}
-		if e.publish(th, ts) || e.seq() != 0 {
+		if e.publish(th, ts); e.seq() != 0 {
 			t.Fatalf("flat publish committed (seq %d)", e.seq())
 		}
 	})

@@ -2,17 +2,16 @@
 // the synchronization machinery are tagged with the phase they fell in —
 //
 //	engine_phase=grant      arbiter election and turn waiting
-//	engine_phase=commit     publication: eager commits, staged (elided)
-//	                        publications, and the stage flushes they imply
+//	engine_phase=commit     publication: the versioned commit of a
+//	                        thread's dirty set at a synchronization point
 //	engine_phase=validate   speculation conflict validation
 //
 // so a -cpuprofile from lazydet-run/-bench/-sim can attribute sync-machinery
-// time to the phase the elision work targets (`go tool pprof -tagfocus
-// engine_phase=commit`). Labeling costs two goroutine-label stores per
-// labeled region (the labeled contexts are built once, so nothing
-// allocates), and it is off unless a front end that is actually writing a
-// profile calls EnableProfileLabels; disabled, each site is one atomic load
-// and a no-op call.
+// time to a phase (`go tool pprof -tagfocus engine_phase=commit`). Labeling
+// costs two goroutine-label stores per labeled region (the labeled contexts
+// are built once, so nothing allocates), and it is off unless a front end
+// that is actually writing a profile calls EnableProfileLabels; disabled,
+// each site is one atomic load and a no-op call.
 package core
 
 import (

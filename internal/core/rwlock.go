@@ -80,7 +80,7 @@ func (e *Engine) convRLock(t *dvm.Thread, ts *tstate, l int64) {
 	backoff := e.cfg.Quantum
 	for {
 		e.waitCommitTurn(t)
-		e.publishRefreshLazy(t, ts)
+		e.publishAndRefresh(t, ts)
 		my := e.arb.DLC(t.ID)
 		if st.Owner == 0 && (e.arb.Nondet() || st.ReleaseDLC <= my) {
 			st.Readers++
@@ -106,7 +106,7 @@ func (e *Engine) convRLock(t *dvm.Thread, ts *tstate, l int64) {
 // invalidates no speculation.
 func (e *Engine) convRUnlock(t *dvm.Thread, ts *tstate, l int64) {
 	e.waitCommitTurn(t)
-	e.releasePublish(t, ts, l)
+	e.publishAndRefresh(t, ts)
 	st := &e.tbl.Locks[l]
 	if st.Readers <= 0 {
 		panic(fmt.Sprintf("core: thread %d runlocks lock %d with no readers", t.ID, l))

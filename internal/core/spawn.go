@@ -42,10 +42,8 @@ func (e *Engine) Spawn(t *dvm.Thread, target int) {
 		}
 	}
 	e.waitCommitTurn(t)
-	// Release semantics: the child re-bases on exactly this state, so
-	// deferred publications settle here (the child's pinned RefreshTo flush
-	// is then a deterministic no-op).
-	e.forcePublishRefresh(t, ts)
+	// Release semantics: the child re-bases on exactly this state.
+	e.publishAndRefresh(t, ts)
 	e.tbl.SpawnSeq[target] = e.seq()
 	my := e.arb.DLC(t.ID)
 	e.arb.Unpark(target, my+1)
@@ -67,10 +65,8 @@ func (e *Engine) Join(t *dvm.Thread, target int) {
 		e.waitCommitTurn(t)
 		if e.arb.Status(target) == dlc.StatusExited {
 			// Acquire semantics: the target's final commit is already
-			// published; refresh our window to include it. Join is a
-			// cross-thread visibility point, so our own deferred
-			// publications settle too.
-			e.forcePublishRefresh(t, ts)
+			// published; refresh our window to include it.
+			e.publishAndRefresh(t, ts)
 			e.rec.Sync(t.ID, trace.OpJoin, int64(target), e.arb.DLC(t.ID))
 			e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
 			return

@@ -146,7 +146,7 @@ func (e *Engine) shouldSpeculate(ts *tstate, l int64) bool {
 	// A statically Disjoint lock always speculates: its critical sections
 	// have provably non-overlapping footprints, so speculation on it can
 	// never fail validation (DESIGN.md §5e) and warm-up or probing would
-	// only forfeit elision wins. The noSpecNext progress guarantee is
+	// only forfeit speculation wins. The noSpecNext progress guarantee is
 	// enforced by the callers before they consult this decision, so the
 	// prior cannot starve a reverted thread.
 	if e.hint(l) == HintDisjoint {
@@ -206,7 +206,7 @@ func (e *Engine) validate(ts *tstate) bool {
 			// commits interleaved since BEGIN cannot have invalidated
 			// this run through l. The lock-level checks below are coarser
 			// than footprints and would still fire spuriously; skipping
-			// them is what turns the static verdict into elided reverts.
+			// them is what turns the static verdict into avoided reverts.
 			// Soundness argument: DESIGN.md §5e.
 			continue
 		}
@@ -268,15 +268,7 @@ func (e *Engine) terminateRun(t *dvm.Thread, ts *tstate) bool {
 // condition-variable operation hold their critical-section lock), and
 // record success in the adaptive histories. Caller holds the turn.
 func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
-	// A validated run's publication is a release like any other and elides
-	// under the same per-lock policy, attributed to the run's first logged
-	// lock (the lock that began the run). An irrevocable run publishes
-	// eagerly: its deferred state was already settled at the upgrade.
-	if !ts.irrevocable && len(ts.logLocks) > 0 {
-		e.releasePublish(t, ts, ts.logLocks[0].lock)
-	} else {
-		e.publishRefreshLazy(t, ts)
-	}
+	e.publishAndRefresh(t, ts)
 	my := e.arb.DLC(t.ID)
 	seq := e.heap.Seq()
 	for i := range ts.logLocks {
@@ -336,9 +328,6 @@ func (e *Engine) revertLocked(t *dvm.Thread, ts *tstate) {
 		// The thread must be exactly its BEGIN snapshot again, and the
 		// dirty set exactly the pre-run dirty set.
 		e.audit.AtRevert(t, ts.snap, ts.view.DirtyWords(), ts.dirtySnap.Words())
-		// The pre-run dirty set includes any deferred (staged, un-published)
-		// state; the restore must have preserved it word for word.
-		e.audit.AtDeferred(t.ID, ts.view)
 	}
 	e.recordOutcome(ts, false)
 	if e.spec != nil {
@@ -434,14 +423,6 @@ func (e *Engine) enterIrrevocable(t *dvm.Thread, ts *tstate) bool {
 	if e.validate(ts) {
 		ts.irrevocable = true
 		e.irrevocableOwner = t.ID
-		// Settle deferred publications at the upgrade turn: the irrevocable
-		// phase reads committed state off-turn (ReadCommitted), and settling
-		// now keeps those reads' flushes deterministic no-ops. The pending
-		// elision resolves first, so the settle of the thread's own stage is
-		// not mistaken for a cross-thread miss.
-		e.resolveElide(ts, elideAtSettle)
-		e.resolveVirtual(ts, elideAtSettle)
-		ts.view.SettleDeferred()
 		if e.spec != nil {
 			e.spec.Upgrades.Add(1)
 		}

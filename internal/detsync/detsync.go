@@ -44,18 +44,6 @@ type Lock struct {
 	// not attributed to any lock. Mutated only at turns, so the count is
 	// a deterministic function of the schedule.
 	ConflictReverts int64
-	// ElideHist is the 64-bit publication-elision survival history of this
-	// lock, shared across threads: bit i records whether a deferred (or, for
-	// a virtual probe, hypothetically deferred) publication at one of the
-	// last 64 eager releases survived until the owner's next release without
-	// any other publication advancing the heap — the condition under which a
-	// real stage would have merged there. Unlike SpecMeta.Hist it is not
-	// per-thread — a miss means the interval was crossed by a foreign
-	// publication, which predicts misses for every owner. Mutated only at
-	// turns (outcomes resolve at the owner's next publication point, which
-	// is a turn), so decisions stay deterministic. Starts zero: elision is
-	// earned through cost-free virtual probes, never paid for up front.
-	ElideHist uint64
 }
 
 // SpecMeta is one thread's adaptive-speculation metadata for one lock
@@ -164,15 +152,6 @@ func (t *Table) WaitWake(tid int) { <-t.wake[tid] }
 // thousandths (popcount * 1000 / 64).
 func SuccessRatePermille(h uint64) int {
 	return bits.OnesCount64(h) * 1000 / 64
-}
-
-// RecentRatePermille is the success rate over only the newest w outcomes of
-// history word h (PushOutcome shifts in at bit 0, so the low bits are the
-// most recent). A short window reacts in w pushes instead of 64 — the
-// difference between a policy that engages mid-phase and one that engages
-// after the phase is over.
-func RecentRatePermille(h uint64, w int) int {
-	return bits.OnesCount64(h&(1<<w-1)) * 1000 / w
 }
 
 // PushOutcome shifts outcome (1 = success) into history word h.

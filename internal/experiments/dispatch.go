@@ -24,10 +24,10 @@ import (
 // per-thread programs have a statically fixed instruction count. runLens, for
 // lock shapes, sweeps the same-owner reacquire run length — how many
 // consecutive critical sections a thread runs on its own lock before a
-// compute gap lets another thread's turn intervene. Longer runs are the
-// publication-elision target (one deferred publication per run instead of
-// one commit per section); a nil runLens means the knob does not apply and
-// the shape is measured once with runlen 0.
+// compute gap lets another thread's turn intervene. Longer runs are
+// uninterrupted same-owner chains, which LazyDet's speculation coarsens; a
+// nil runLens means the knob does not apply and the shape is measured once
+// with runlen 0.
 type dispatchShape struct {
 	name    string
 	runLens []int64
@@ -83,8 +83,7 @@ func dispatchShapes() []dispatchShape {
 		// compute gap whose DLC cost lets every other thread's pending turn
 		// intervene. runlen 1 is the old tight loop (every release
 		// immediately observed); longer runs are uninterrupted same-owner
-		// chains, where elision replaces runlen commits with one deferred
-		// publication. Loop-control overhead differs slightly per run
+		// chains. Loop-control overhead differs slightly per run
 		// length, so each runlen point takes its own retired-instruction
 		// reference.
 		{"locked", []int64{1, 8, 64}, func(threads int, iters, runlen int64) *harness.Workload {

@@ -44,7 +44,6 @@ func ReportSuite(cfg Config) (*telemetry.SuiteReport, error) {
 				Trace:        e != harness.Pthreads,
 				CollectSpec:  e == harness.LazyDet,
 				Compiled:     cfg.Compiled,
-				EagerPublish: cfg.EagerPublish,
 			}
 			res, err := harness.Run(w, opt)
 			if err != nil {
@@ -70,26 +69,6 @@ func ReportSuite(cfg Config) (*telemetry.SuiteReport, error) {
 				cr.Workload += "/compiled"
 				suite.Runs = append(suite.Runs, cr)
 				cfg.printf("%-28s wall %-12v %d deterministic metrics\n", cr.Key(), cres.Wall, len(cr.Metrics))
-			}
-
-			// Eager-publication rows for the strong engines, keyed
-			// <workload>/eager: the same run with same-owner publication
-			// elision disabled — the differential oracle. TraceSig, HeapHash
-			// and every gated metric outside harness.ElisionVariantMetrics
-			// must match the elided row above; the rows that differ
-			// (vheap.commits, commit.elided, stage counters) measure exactly
-			// what elision saves, pinned against the baseline.
-			if e == harness.Consequence || e == harness.LazyDet {
-				eopt := opt
-				eopt.EagerPublish = true
-				eres, err := harness.Run(w, eopt)
-				if err != nil {
-					return nil, fmt.Errorf("report suite: %s/eager under %s: %w", w.Name, e, err)
-				}
-				er := harness.BuildReport(eres)
-				er.Workload += "/eager"
-				suite.Runs = append(suite.Runs, er)
-				cfg.printf("%-28s wall %-12v %d deterministic metrics\n", er.Key(), eres.Wall, len(er.Metrics))
 			}
 
 			// Statically hinted LazyDet rows, keyed <workload>/hints: the
@@ -126,13 +105,12 @@ func ReportSuite(cfg Config) (*telemetry.SuiteReport, error) {
 			w := workloads.NewHashTable(htCfg)
 			for _, e := range []harness.EngineKind{harness.Consequence, harness.LazyDet} {
 				opt := harness.Options{
-					Engine:       e,
-					Threads:      scaleThreads,
-					Telemetry:    true,
-					Trace:        true,
-					CollectSpec:  e == harness.LazyDet,
-					Compiled:     cfg.Compiled,
-					EagerPublish: cfg.EagerPublish,
+					Engine:      e,
+					Threads:     scaleThreads,
+					Telemetry:   true,
+					Trace:       true,
+					CollectSpec: e == harness.LazyDet,
+					Compiled:    cfg.Compiled,
 				}
 				res, err := harness.Run(w, opt)
 				if err != nil {

@@ -73,7 +73,9 @@ func TestScheduleEquivalenceAcrossBackends(t *testing.T) {
 // speculates across a fused read-modify-write and a loop, and thread 0's
 // earlier conventional commit on the shared lock conflicts with it. The
 // revert restores the PC of the first speculative lock — a fusion-block
-// entry — and the re-execution re-runs the fused blocks.
+// entry — and the re-execution re-runs the fused blocks. Thread 1 also
+// stores before the run begins: the revert must reinstate that pre-run
+// write, and a later publication must still commit it.
 func revertWorkload() *harness.Workload {
 	return &harness.Workload{
 		Name:      "revert-fused",
@@ -88,7 +90,8 @@ func revertWorkload() *harness.Workload {
 			b1 := dvm.NewBuilder("t1")
 			i := b1.Reg()
 			r := b1.Reg()
-			b1.Lock(dvm.Const(1)) // begin a speculative run
+			b1.Store(dvm.Const(10), dvm.Const(5)) // pre-run write
+			b1.Lock(dvm.Const(1))                 // begin a speculative run
 			b1.ForN(i, 200, func() {
 				b1.Do(func(*dvm.Thread) {})
 			})
@@ -103,8 +106,8 @@ func revertWorkload() *harness.Workload {
 			return []*dvm.Program{b0.Build(), b1.Build()}
 		},
 		Validate: func(read func(addr int64) int64, threads int) error {
-			if read(8) != 1 || read(9) != 2 {
-				return fmt.Errorf("revert-fused final memory (8)=%d (9)=%d, want 1 and 2", read(8), read(9))
+			if read(8) != 1 || read(9) != 2 || read(10) != 5 {
+				return fmt.Errorf("revert-fused final memory (8)=%d (9)=%d (10)=%d, want 1, 2 and 5", read(8), read(9), read(10))
 			}
 			return nil
 		},

@@ -158,13 +158,6 @@ type Options struct {
 	// interpreter is the differential oracle: schedules, traces, heaps and
 	// gated metrics are bit-identical per seed with this flag flipped.
 	Compiled bool
-	// EagerPublish forces every critical-section release to commit its
-	// writes immediately, disabling same-owner publication elision on the
-	// versioned-heap engines. The eager path is the differential oracle
-	// for elision: schedules, TraceSig, HeapHash and every gated metric
-	// outside the elision-variant set (commit/stage volume counters) must
-	// be bit-identical with this flag flipped. No effect on weak engines.
-	EagerPublish bool
 }
 
 // Result is one run's measurements.
@@ -371,7 +364,6 @@ func Run(w *Workload, opt Options) (*Result, error) {
 			Spec:            opt.Spec,
 			CheckInvariants: opt.CheckInvariants,
 			Hints:           hints,
-			EagerPublish:    opt.EagerPublish,
 		}
 		arb := dlc.New(opt.Threads)
 		defer publishArbStats(tel, arb, res)

@@ -85,27 +85,10 @@ var timingCounters = map[string]bool{
 	"dvm.superinstructions": true,
 }
 
-// ElisionVariantMetrics names the metrics that legitimately differ between
-// same-owner publication elision and the -eagerpublish oracle: elision's
-// whole point is publishing fewer, larger deltas, so everything that counts
-// commit or stage volume moves. Everything else — schedules, clocks, sync
-// events, speculation outcomes, chain hits — must be bit-identical, which
-// lazydet-fuzz's publication oracle and the harness equivalence tests
-// enforce via GatedMetricDiffs.
-var ElisionVariantMetrics = map[string]bool{
-	"vheap.commits":         true,
-	"vheap.pages_committed": true,
-	"vheap.words_committed": true,
-	"vheap.words_scanned":   true,
-	"vheap.stage_publishes": true,
-	"vheap.stage_flushes":   true,
-	"vheap.live_versions":   true,
-	"commit.elided":         true,
-}
-
-// GatedMetricDiffs compares two runs' gated metrics, skipping the
-// elision-variant set, and describes every mismatch. Both runs must have
-// been collected with Options.Telemetry.
+// GatedMetricDiffs compares two runs' gated metrics — every metric in the
+// deterministic Metrics half of their reports, retired-opcode counts
+// included — and describes every mismatch. Both runs must have been
+// collected with Options.Telemetry.
 func GatedMetricDiffs(a, b *Result) []string {
 	ra, rb := BuildReport(a), BuildReport(b)
 	names := make([]string, 0, len(ra.Metrics))
@@ -120,9 +103,6 @@ func GatedMetricDiffs(a, b *Result) []string {
 	sort.Strings(names)
 	var diffs []string
 	for _, k := range names {
-		if gated, _ := telemetry.GatedMetric(k); !gated || ElisionVariantMetrics[k] {
-			continue
-		}
 		va, oka := ra.Metrics[k]
 		vb, okb := rb.Metrics[k]
 		if oka != okb || va != vb {

@@ -88,7 +88,6 @@ func keys[V any](m map[string]V) []string {
 
 var pinnedHTConsequence = telemetry.Snapshot{
 	Counters: map[string]int64{
-		"commit.elided":             73,
 		"dlc.chain_fast":            237,
 		"dlc.chain_hits":            237,
 		"dlc.grant_work":            9793,
@@ -112,8 +111,6 @@ var pinnedHTConsequence = telemetry.Snapshot{
 		"vheap.page_pool_hits":      70,
 		"vheap.page_pool_misses":    25,
 		"vheap.pages_committed":     95,
-		"vheap.stage_flushes":       73,
-		"vheap.stage_publishes":     73,
 		"vheap.words_committed":     95,
 		"vheap.words_scanned":       95,
 	},
@@ -121,14 +118,13 @@ var pinnedHTConsequence = telemetry.Snapshot{
 		"dlc.arbiter_depth": 1,
 	},
 	Histograms: map[string]telemetry.HistSnapshot{
-		"mempipe.publish_dirty_words": {N: 95, Sum: 22, Buckets: map[string]int64{"0": 73, "1": 22}},
+		"mempipe.publish_dirty_words": {N: 95, Sum: 95, Buckets: map[string]int64{"1": 95}},
 		"vheap.commit_words":          {N: 95, Sum: 95, Buckets: map[string]int64{"1": 95}},
 	},
 }
 
 var pinnedHTLazyDet = telemetry.Snapshot{
 	Counters: map[string]int64{
-		"commit.elided":             5,
 		"dlc.chain_fast":            18,
 		"dlc.chain_hits":            19,
 		"dlc.grant_work":            701,
@@ -155,14 +151,12 @@ var pinnedHTLazyDet = telemetry.Snapshot{
 		"spec.upgrades":             0,
 		"sync.events":               1176,
 		"turn.waits":                68,
-		"vheap.commits":             43,
+		"vheap.commits":             44,
 		"vheap.frame_pool_hits":     89,
 		"vheap.frame_pool_misses":   14,
 		"vheap.page_pool_hits":      63,
 		"vheap.page_pool_misses":    30,
 		"vheap.pages_committed":     93,
-		"vheap.stage_flushes":       4,
-		"vheap.stage_publishes":     5,
 		"vheap.words_committed":     95,
 		"vheap.words_scanned":       95,
 	},
@@ -172,15 +166,14 @@ var pinnedHTLazyDet = telemetry.Snapshot{
 		"spec.success_pct":  92.5925925925926,
 	},
 	Histograms: map[string]telemetry.HistSnapshot{
-		"mempipe.publish_dirty_words": {N: 44, Sum: 87, Buckets: map[string]int64{"0": 5, "1": 10, "2": 24, "4": 5}},
+		"mempipe.publish_dirty_words": {N: 44, Sum: 95, Buckets: map[string]int64{"1": 13, "2": 26, "4": 5}},
 		"spec.revert_words":           {N: 4, Sum: 9, Buckets: map[string]int64{"1": 2, "2": 1, "4": 1}},
-		"vheap.commit_words":          {N: 43, Sum: 95, Buckets: map[string]int64{"1": 12, "2": 25, "4": 6}},
+		"vheap.commit_words":          {N: 44, Sum: 95, Buckets: map[string]int64{"1": 13, "2": 26, "4": 5}},
 	},
 }
 
 var pinnedSimLazyDet = telemetry.Snapshot{
 	Counters: map[string]int64{
-		"commit.elided":             47,
 		"dlc.chain_fast":            778,
 		"dlc.chain_hits":            779,
 		"dlc.grant_work":            15109,
@@ -215,8 +208,6 @@ var pinnedSimLazyDet = telemetry.Snapshot{
 		"vheap.page_pool_hits":      168,
 		"vheap.page_pool_misses":    16,
 		"vheap.pages_committed":     184,
-		"vheap.stage_flushes":       47,
-		"vheap.stage_publishes":     47,
 		"vheap.words_committed":     313,
 		"vheap.words_scanned":       314,
 	},
@@ -234,7 +225,7 @@ var pinnedSimLazyDet = telemetry.Snapshot{
 		"spec.success_pct":    42.857142857142854,
 	},
 	Histograms: map[string]telemetry.HistSnapshot{
-		"mempipe.publish_dirty_words": {N: 132, Sum: 195, Buckets: map[string]int64{"0": 47, "1": 38, "2": 20, "4": 27}},
+		"mempipe.publish_dirty_words": {N: 132, Sum: 313, Buckets: map[string]int64{"1": 57, "2": 28, "4": 47}},
 		"sim.latency_dlc":             {N: 40, Sum: 7375, Buckets: map[string]int64{"64": 25, "128": 4, "256": 8, "512": 3}},
 		"spec.revert_words":           {N: 64, Sum: 266, Buckets: map[string]int64{"0": 48, "1": 2, "2": 1, "4": 3, "16": 10}},
 		"vheap.commit_words":          {N: 132, Sum: 313, Buckets: map[string]int64{"1": 57, "2": 28, "4": 47}},

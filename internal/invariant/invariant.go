@@ -239,34 +239,6 @@ func (c *Checker) AtPublish(tid int, m DirtyAuditor) {
 	}
 }
 
-// DeferredAuditor is the slice of a thread's memory window the checker
-// needs at an elision point: a self-check of the window's deferred
-// publication. vheap.View implements it; flat memory never defers
-// publication and is never audited.
-type DeferredAuditor interface {
-	// AuditDeferred returns a descriptive error if the window's retained
-	// frames no longer serve the values of its staged publication (see
-	// vheap.View.AuditDeferred).
-	AuditDeferred() error
-}
-
-// AtDeferred audits the deferred-publish invariant: every page of a thread's
-// outstanding staged publication must still hold a live frame in its window,
-// and every staged word the thread has not rewritten since must carry the
-// staged value there — otherwise the window has stopped observing (or a
-// speculation revert has corrupted) state the trace already records as
-// committed. The engine calls it after staging an elided publication and
-// after restoring a revert snapshot, on the owning thread, while it holds
-// the turn.
-func (c *Checker) AtDeferred(tid int, m DeferredAuditor) {
-	if c == nil || c.heap == nil {
-		return
-	}
-	if err := m.AuditDeferred(); err != nil {
-		c.violate(tid, -1, "deferred-publish", err.Error())
-	}
-}
-
 // SpecLogAuditor is the slice of a thread's speculation state the checker
 // needs at a BEGIN: a self-check of the dense lock row that indexes the
 // run's lock log.

@@ -137,11 +137,8 @@ var gatedMetrics = map[string]bool{
 	"vheap.words_committed": true,
 	"vheap.words_scanned":   true,
 	"mempipe.publishes":     true,
-	// Elided (deferred) publications and consecutive same-thread grants are
-	// pure functions of the deterministic schedule: elision decisions read
-	// only turn-mutated per-lock history, and chain hits only the grant
-	// sequence. Both are savings-like, so lower values are worse.
-	"commit.elided":       false,
+	// Consecutive same-thread grants are a pure function of the grant
+	// sequence. They are savings-like, so lower values are worse.
 	"dlc.chain_hits":      false,
 	"spec.reverts":        true,
 	"spec.reverted_words": true,

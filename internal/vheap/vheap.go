@@ -38,9 +38,8 @@
 // One commit lock guards the version chains, the published-page pool and the
 // trim floor. Publication is already serialized by the (DLC, tid) turn order
 // every engine commits under, so no two commits ever contend for it; the lock
-// only makes the off-turn readers (Hash, Audit, LiveVersions, the bounded
-// flushes of UpdateTo and post-run reads) memory-safe. Lock order, where
-// several are held: stageMu, then mu, then viewMu.
+// only makes the off-turn readers (Hash, Audit, LiveVersions) memory-safe.
+// Lock order, where both are held: mu, then viewMu.
 //
 // Version chains are trimmed below the oldest base sequence still referenced
 // by a live view. This is the space advantage the paper ascribes to DDRF
@@ -121,12 +120,6 @@ type Heap struct {
 	viewMu sync.Mutex         // guards the live-view registry
 	views  map[*View]struct{} // live views, for trim floor computation
 
-	// Outstanding deferred publications (see stage.go). nstaged mirrors
-	// len(stages) so the no-elision fast path is one atomic load.
-	stageMu sync.Mutex
-	stages  []*stage
-	nstaged atomic.Int32
-
 	m   metrics
 	tel *telMetrics // nil unless WithTelemetry attached a recorder
 
@@ -139,7 +132,7 @@ type Heap struct {
 // time. Every commit updates them with atomic adds, so the metrics cost no
 // lock and no map lookup.
 type metrics struct {
-	commits     telemetry.Counter // commits, physical and stage flushes
+	commits     telemetry.Counter // commits
 	pages       telemetry.Counter // page versions published
 	words       telemetry.Counter // words merged across commits
 	scanned     telemetry.Counter // words examined by commits to find them
@@ -153,9 +146,7 @@ type metrics struct {
 // allocated and counted only on a heap built WithTelemetry, so a heap
 // without telemetry neither carries nor updates them.
 type telMetrics struct {
-	stageFlushes   telemetry.Counter   // deferred publications applied
-	stagePublishes telemetry.Counter   // publications deferred into a stage
-	commitWords    telemetry.Histogram // words merged per commit
+	commitWords telemetry.Histogram // words merged per commit
 }
 
 // attach registers every metric with rec under its report name.
@@ -169,8 +160,6 @@ func (h *Heap) attach(rec *telemetry.Recorder) {
 	rec.AttachCounter("vheap.frame_pool_misses", &m.frameMisses)
 	rec.AttachCounter("vheap.page_pool_hits", &m.pageHits)
 	rec.AttachCounter("vheap.page_pool_misses", &m.pageMisses)
-	rec.AttachCounter("vheap.stage_flushes", &t.stageFlushes)
-	rec.AttachCounter("vheap.stage_publishes", &t.stagePublishes)
 	rec.AttachHistogram("vheap.commit_words", &t.commitWords)
 }
 
@@ -181,10 +170,9 @@ type tally struct {
 	pageHits, pageMisses    int64
 }
 
-// countCommit records one commit's totals — a physical Commit or a stage
-// flush. The pool counters are added only when non-zero: a counter reports
-// iff it was ever added to, and a run that never missed the pool reports no
-// miss counter.
+// countCommit records one commit's totals. The pool counters are added only
+// when non-zero: a counter reports iff it was ever added to, and a run that
+// never missed the pool reports no miss counter.
 func (h *Heap) countCommit(t *tally) {
 	m := &h.m
 	m.commits.Add(1)
@@ -223,10 +211,8 @@ func WithFullVersionChains() Option { return func(c *heapConfig) { c.keepChains 
 // them whenever it is snapshot — no publish step, so the recorder is
 // complete as soon as the last commit returns: cumulative "vheap.commits",
 // "vheap.pages_committed", "vheap.words_committed", "vheap.words_scanned"
-// (the same counters Stats reads) counters,
-// "vheap.stage_publishes"/"vheap.stage_flushes"
-// for deferred publications, a "vheap.commit_words" histogram of per-commit
-// merged word counts, and the pool counters
+// (the same counters Stats reads) counters, a "vheap.commit_words"
+// histogram of per-commit merged word counts, and the pool counters
 // "vheap.frame_pool_hits"/"vheap.frame_pool_misses" (dirty-page frames) and
 // "vheap.page_pool_hits"/"vheap.page_pool_misses" (published page frames).
 // The commit counters are deterministic for deterministic engines (commit
@@ -317,11 +303,8 @@ func (h *Heap) SetInitial(addr, val int64) {
 }
 
 // ReadCommitted returns the committed value of addr at the newest version.
-// It is used by validation and by the harness after a run completes. Any
-// outstanding deferred publication is applied first: "newest committed"
-// includes every reserved sequence.
+// It is used by validation and by the harness after a run completes.
 func (h *Heap) ReadCommitted(addr int64) int64 {
-	h.flushStages(nil, flushAll)
 	p := h.slots[addr>>h.pageShift].Load()
 	return p.words[addr&h.pageMask]
 }
@@ -379,7 +362,6 @@ func (h *Heap) floorLocked() int64 {
 // Hash returns an FNV-1a hash of the newest committed heap contents. Two
 // deterministic runs of the same program must produce equal hashes.
 func (h *Heap) Hash() uint64 {
-	h.flushStages(nil, flushAll) // hash the state including deferred publications
 	f := fnv.New64a()
 	var buf [8]byte
 	h.mu.Lock()
@@ -441,7 +423,6 @@ func (h *Heap) Stats() CommitStats {
 // lists. With full chains retained this measures the cost that DLRC-style
 // systems pay (paper §4.2).
 func (h *Heap) LiveVersions() int {
-	h.flushStages(nil, flushAll)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	n := 0
@@ -464,27 +445,11 @@ func (h *Heap) LiveVersions() int {
 // Returns a descriptive error on the first breach. Used by the invariant
 // checker (internal/invariant).
 func (h *Heap) Audit() error {
-	// Snapshot the outstanding stages before taking mu (lock order: stageMu
-	// before mu).
-	h.stageMu.Lock()
-	stages := append([]*stage(nil), h.stages...)
-	h.stageMu.Unlock()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.viewMu.Lock()
 	defer h.viewMu.Unlock()
 	top := h.seq.Load()
-	for _, s := range stages {
-		if s.seq > top {
-			return fmt.Errorf("vheap: outstanding stage at seq %d is ahead of the newest commit %d", s.seq, top)
-		}
-		for _, pi := range s.pis {
-			if head := h.slots[pi].Load(); head.seq >= s.seq {
-				return fmt.Errorf("vheap: page %d head version %d has overtaken an outstanding stage at seq %d — its flush could no longer head-insert",
-					pi, head.seq, s.seq)
-			}
-		}
-	}
 	floor := h.trimFloorLocked()
 	//lazydet:nondeterministic order-independent audit: every view is checked, the first offender differs only in the error text
 	for v := range h.views {
@@ -547,13 +512,6 @@ type dirtyPage struct {
 	words []int64
 	twin  []int64 // snapshot of the base contents at first write
 	dirty []uint64
-	// baseSeq is the sequence of the page version the twin was snapshotted
-	// from, so a keep-dirty re-base (stage.go) can tell whether the frame's
-	// base page advanced without storing the page pointer itself.
-	baseSeq int64
-	// snapKeep is RevertTo's transient sweep mark: set on frames the
-	// snapshot reinstates, cleared again before RevertTo returns.
-	snapKeep bool
 }
 
 // mark records a write to word off.
@@ -603,22 +561,13 @@ type View struct {
 	frameHits int64 // flushed into heap totals (and telemetry) at Commit
 	frameMiss int64
 	closed    bool // Close happened; further Closes are no-ops
-
-	// stg is the view's deferred publication (stage.go), nil until the first
-	// elided publish. unstaged records whether any store happened since the
-	// last publication event (Commit or StagePublish) — the elided analogue
-	// of "is the dirty set non-empty", which staging no longer clears.
-	stg      *stage
-	unstaged bool
 }
 
-// NewView creates a view based on the newest committed state. It does NOT
-// flush outstanding deferred publications: a flush at a wall-clock moment
-// would make elision outcomes (and the gated elision counters)
-// nondeterministic. The engines create every thread's view before any
-// thread runs (dvm.Run starts all threads first), so engine views base at
-// the initial state, and a speculation run that begins before the thread's
-// first turn validates against that deterministic base.
+// NewView creates a view based on the newest committed state. The engines
+// create every thread's view before any thread runs (dvm.Run starts all
+// threads first), so engine views base at the initial state, and a
+// speculation run that begins before the thread's first turn validates
+// against that deterministic base.
 func (h *Heap) NewView() *View {
 	v := &View{
 		h:        h,
@@ -640,16 +589,6 @@ func (h *Heap) NewView() *View {
 // thread state twice cannot invalidate the trim-floor cache spuriously or
 // unregister a recreated view by aliasing.
 func (v *View) Close() {
-	// A closing view's outstanding deferred publication is still committed
-	// state (it is in the trace at its reserved sequence); apply it rather
-	// than lose it — dropping is only legal when the owner commits the
-	// retained dirty set itself, which a Close does not.
-	if v.stg != nil && v.stg.queued {
-		// Bounded by the stage's own reserved sequence: prefix closure pulls
-		// in every earlier stage the application depends on, and later
-		// stages (possibly created at turns still running) are left alone.
-		v.h.flushStages(nil, v.stg.seq)
-	}
 	v.h.viewMu.Lock()
 	unregistered := false
 	if !v.closed {
@@ -862,14 +801,12 @@ func (v *View) Load(addr int64) int64 {
 func (v *View) Store(addr, val int64) {
 	pi := int(addr >> v.h.pageShift)
 	off := addr & v.h.pageMask
-	v.unstaged = true
 	d := v.dirtyTab[pi]
 	if d == nil {
 		base := v.resolve(pi)
 		d = v.frame()
 		copy(d.words, base.words)
 		copy(d.twin, base.words)
-		d.baseSeq = base.seq
 		v.dirtyTab[pi] = d
 		v.dirtyIdx = append(v.dirtyIdx, pi)
 	}
@@ -960,12 +897,6 @@ func (h *Heap) publishLocked(pi int, d *dirtyPage, newSeq int64, t *tally) {
 // structures.
 func (v *View) Commit() (seq int64, changed int) {
 	h := v.h
-	// Deferred-publication rule: a physical commit first applies every
-	// outstanding stage — the view's own included, at its reserved sequence,
-	// so the traced elided publications reach the chains with exactly the
-	// values the trace promised — and only then merges the delta written
-	// since the last publication event at the new sequence.
-	h.flushStages(nil, flushAll)
 	oldBase := v.base.Load()
 	newSeq := h.seq.Load() + 1
 	var t tally
@@ -985,7 +916,6 @@ func (v *View) Commit() (seq int64, changed int) {
 	v.frameHits, v.frameMiss = 0, 0
 	v.base.Store(newSeq)
 	h.noteRebase(oldBase)
-	v.unstaged = false
 	v.clearDirty()
 	v.invalidateClean()
 	return newSeq, int(t.changed)
@@ -1028,7 +958,6 @@ func (v *View) Update() {
 	if v.DirtyPages() != 0 {
 		panic("vheap: Update with non-empty dirty set")
 	}
-	v.h.flushStages(v, flushAll)
 	oldBase := v.base.Load()
 	v.base.Store(v.h.seq.Load())
 	v.h.noteRebase(oldBase)
@@ -1043,10 +972,6 @@ func (v *View) UpdateTo(seq int64) {
 	if v.DirtyPages() != 0 {
 		panic("vheap: UpdateTo with non-empty dirty set")
 	}
-	// Bounded flush: UpdateTo executes at a wall-clock wake moment, so it may
-	// only consume stages at or below the pinned sequence — all of which were
-	// settled at their owners' turns, making this a deterministic no-op.
-	v.h.flushStages(nil, seq)
 	cur := v.base.Load()
 	if seq < cur {
 		panic(fmt.Sprintf("vheap: UpdateTo(%d) would move the base backwards from %d", seq, cur))
@@ -1060,12 +985,6 @@ func (v *View) UpdateTo(seq int64) {
 // newest committed state, as LazyDet does when a speculation run fails.
 // It returns the number of discarded (non-silent) dirty words.
 func (v *View) Revert() (discarded int) {
-	// A full revert discards the entire dirty set, which may include words
-	// whose deferred publication is already in the trace; applying every
-	// outstanding stage (own included) first keeps those publications — they
-	// are committed state, not private modifications.
-	v.h.flushStages(nil, flushAll)
-	v.unstaged = false
 	discarded = v.DirtyWords()
 	oldBase := v.base.Load()
 	v.base.Store(v.h.seq.Load())
@@ -1085,20 +1004,7 @@ type DirtySnapshot struct {
 	pis   []int
 	pages []*dirtyPage // deep copies, parallel to pis
 	spare []*dirtyPage // retained frames not used by the current contents
-	// cleanPis records frames that had no marked words at snapshot time —
-	// frames retained across an elided publication, whose twin was
-	// re-snapshotted to the frame values at the last publication event and
-	// is immutable during a speculative run. Such a frame needs no deep
-	// copy at BEGIN: a revert restores its words from its own twin and
-	// clears its marks. This keeps the snapshot cost of a retained dirty
-	// set (the elision steady state) at zero page copies instead of one
-	// per retained frame per speculation attempt.
-	cleanPis []int
-	words    int
-	// unstaged preserves the view's writes-since-last-publication flag, so a
-	// revert restores the elision machinery's delta tracking along with the
-	// dirty set.
-	unstaged bool
+	words int
 }
 
 // Words returns the number of non-silent dirty words in the snapshot.
@@ -1115,12 +1021,11 @@ func (s *DirtySnapshot) frame(h *Heap) *dirtyPage {
 	return h.newFrame()
 }
 
-// copyInto deep-copies src over dst, bitmap and base stamp included.
+// copyInto deep-copies src over dst, bitmap included.
 func copyInto(dst, src *dirtyPage) {
 	copy(dst.words, src.words)
 	copy(dst.twin, src.twin)
 	copy(dst.dirty, src.dirty)
-	dst.baseSeq = src.baseSeq
 }
 
 // SnapshotDirty deep-copies the view's dirty set into a fresh snapshot.
@@ -1142,21 +1047,9 @@ func (v *View) SnapshotDirtyInto(s *DirtySnapshot) *DirtySnapshot {
 	}
 	s.pages = s.pages[:0]
 	s.pis = s.pis[:0]
-	s.cleanPis = s.cleanPis[:0]
 	s.words = 0
-	s.unstaged = v.unstaged
-	// A frame with no marked words — retained across an elided publication,
-	// its twin re-snapshotted to the frame values at that publication event —
-	// is recorded by page number only: the twin is immutable for the
-	// snapshot's lifetime (stores touch words and marks; twins change only at
-	// publication events, which cannot happen inside a speculative run), so
-	// RevertTo restores the frame from its own twin without a deep copy here.
 	for _, pi := range v.dirtyIdx {
 		d := v.dirtyTab[pi]
-		if !hasMarks(d) {
-			s.cleanPis = append(s.cleanPis, pi)
-			continue
-		}
 		dst := s.frame(v.h)
 		copyInto(dst, d)
 		s.pis = append(s.pis, pi)
@@ -1164,17 +1057,6 @@ func (v *View) SnapshotDirtyInto(s *DirtySnapshot) *DirtySnapshot {
 		s.words += diffWords(d)
 	}
 	return s
-}
-
-// hasMarks reports whether any word of the frame is marked written since the
-// last publication event.
-func hasMarks(d *dirtyPage) bool {
-	for _, m := range d.dirty {
-		if m != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // RevertTo discards the run's modifications and reinstates the dirty set
@@ -1187,43 +1069,8 @@ func (v *View) RevertTo(s *DirtySnapshot) (discarded int) {
 	if discarded < 0 {
 		discarded = 0
 	}
-	v.unstaged = s.unstaged
-	// Frames recorded clean restore from their own immutable twins; frames
-	// the snapshot deep-copied reinstate into the frame already holding the
-	// page (no publication happened during the run, so a snapshotted page's
-	// frame is still live); frames for pages the run dirtied after the
-	// snapshot are released. The snapKeep mark makes the sweep linear.
-	for _, pi := range s.cleanPis {
-		d := v.dirtyTab[pi]
-		copy(d.words, d.twin)
-		clear(d.dirty)
-		d.snapKeep = true
-	}
-	var missing []int
+	v.clearDirty()
 	for i, pi := range s.pis {
-		d := v.dirtyTab[pi]
-		if d == nil {
-			missing = append(missing, i)
-			continue
-		}
-		copyInto(d, s.pages[i])
-		d.snapKeep = true
-	}
-	n := 0
-	for _, pi := range v.dirtyIdx {
-		d := v.dirtyTab[pi]
-		if d.snapKeep {
-			d.snapKeep = false
-			v.dirtyIdx[n] = pi
-			n++
-			continue
-		}
-		v.releaseFrame(d)
-		v.dirtyTab[pi] = nil
-	}
-	v.dirtyIdx = v.dirtyIdx[:n]
-	for _, i := range missing {
-		pi := s.pis[i]
 		d := v.frame()
 		copyInto(d, s.pages[i])
 		v.dirtyTab[pi] = d

@@ -92,6 +92,32 @@ func TestRevertDiscardsChanges(t *testing.T) {
 	if h.Seq() != 0 {
 		t.Fatalf("revert must not commit; seq = %d", h.Seq())
 	}
+
+	// A failed speculation run reverts to its BEGIN snapshot: the run's
+	// writes go, the pre-run dirty set comes back word for word, and the
+	// pre-run writes still publish at the next commit.
+	a.Store(1, 10)
+	a.Store(2, 20)
+	snap := a.SnapshotDirty()
+	a.Store(1, 111) // over a pre-run write
+	a.Store(3, 333) // a fresh word
+	if n := a.RevertTo(snap); n != 1 {
+		t.Fatalf("RevertTo discarded %d words, want 1", n)
+	}
+	for addr, want := range map[int64]int64{1: 10, 2: 20, 3: 0} {
+		if got := a.Load(addr); got != want {
+			t.Fatalf("after RevertTo Load(%d) = %d, want %d", addr, got, want)
+		}
+	}
+	if n := a.DirtyWords(); n != 2 {
+		t.Fatalf("after RevertTo DirtyWords = %d, want the 2 pre-run words", n)
+	}
+	a.Commit()
+	for addr, want := range map[int64]int64{1: 10, 2: 20, 3: 0} {
+		if got := h.ReadCommitted(addr); got != want {
+			t.Fatalf("after commit ReadCommitted(%d) = %d, want %d", addr, got, want)
+		}
+	}
 }
 
 func TestRevertRebasesToLatest(t *testing.T) {
