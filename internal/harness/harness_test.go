@@ -6,6 +6,7 @@ import (
 
 	"lazydet/internal/core"
 	"lazydet/internal/dvm"
+	"lazydet/internal/invariant"
 )
 
 // counterWorkload: every thread increments a single lock-protected counter
@@ -299,5 +300,38 @@ func TestLockCounting(t *testing.T) {
 	}
 	if s.Variables == 0 || s.Max == 0 {
 		t.Fatalf("bad summary %+v", s)
+	}
+}
+
+// TestSpeculativeRevertPreservesDeferredState: a contended counter makes
+// LazyDet revert speculation runs while threads hold writes that are not yet
+// published. With the invariant audit layer on, no rule may fire, the
+// counter must validate, and a repeat run must reproduce the same
+// synchronization trace and final heap.
+func TestSpeculativeRevertPreservesDeferredState(t *testing.T) {
+	run := func() *Result {
+		t.Helper()
+		var violations []*invariant.Violation
+		res, err := Run(counterWorkload(400), Options{
+			Engine: LazyDet, Threads: 4, Trace: true, CollectSpec: true,
+			CheckInvariants: true,
+			OnViolation:     func(v *invariant.Violation) { violations = append(violations, v) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range violations {
+			t.Errorf("invariant violation: %v", v)
+		}
+		return res
+	}
+	first := run()
+	if first.Spec.Reverts.Load() == 0 {
+		t.Fatal("contended counter produced no speculation reverts — the regression scenario never occurred")
+	}
+	again := run()
+	if first.TraceSig != again.TraceSig || first.HeapHash != again.HeapHash {
+		t.Errorf("reverted run is not repeatable: trace %x/%x heap %x/%x",
+			first.TraceSig, again.TraceSig, first.HeapHash, again.HeapHash)
 	}
 }

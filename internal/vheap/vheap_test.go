@@ -92,10 +92,16 @@ func TestRevertDiscardsChanges(t *testing.T) {
 	if h.Seq() != 0 {
 		t.Fatalf("revert must not commit; seq = %d", h.Seq())
 	}
+}
 
-	// A failed speculation run reverts to its BEGIN snapshot: the run's
-	// writes go, the pre-run dirty set comes back word for word, and the
-	// pre-run writes still publish at the next commit.
+// TestRevertPreservesDeferredState: a failed speculation run reverts to its
+// BEGIN snapshot. The run's writes go, the pre-run dirty set (writes not yet
+// published when the run began) comes back word for word, and those pre-run
+// writes still publish at the next commit.
+func TestRevertPreservesDeferredState(t *testing.T) {
+	h := New(1024)
+	h.SetInitial(2, 2)
+	a := h.NewView()
 	a.Store(1, 10)
 	a.Store(2, 20)
 	snap := a.SnapshotDirty()
